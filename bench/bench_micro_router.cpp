@@ -16,6 +16,7 @@
 
 #include "circuits/circuit_manager.hpp"
 #include "noc/network.hpp"
+#include "noc/plan_injector.hpp"
 #include "sim/presets.hpp"
 #include "sim/system.hpp"
 
@@ -204,40 +205,14 @@ int run_steady_state_alloc_check() {
   cfg.mesh_w = cfg.mesh_h = 8;
   Network net(cfg);
   net.set_deliver([](NodeId, const MsgPtr&) {});
-
-  struct Inj {
-    Cycle at;
-    MsgPtr msg;
-  };
   const Cycle warmup = 10'000;
   const Cycle measure = 10'000;
-  std::vector<Inj> plan;
-  Rng rng(7);
-  std::uint64_t id = 0;
-  for (Cycle c = 0; c < warmup + measure; c += 4) {
-    auto m = std::make_shared<Message>();
-    m->id = ++id;
-    m->type = MsgType::GetS;
-    m->src = static_cast<NodeId>(rng.next_below(cfg.num_nodes()));
-    m->dest = static_cast<NodeId>(rng.next_below(cfg.num_nodes()));
-    m->addr = 64 * id;
-    m->size_flits = 1;
-    if (m->src != m->dest) plan.push_back(Inj{c, std::move(m)});
-  }
+  std::vector<PlanInjector> inj;
+  plan_uniform_requests(net, &inj, warmup + measure, /*every=*/4, /*seed=*/7);
 
-  std::size_t next = 0;
-  Cycle c = 0;
-  for (; c < warmup; ++c) {
-    while (next < plan.size() && plan[next].at == c)
-      net.send(plan[next++].msg, c);
-    net.tick(c);
-  }
+  net.run(0, warmup);
   const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-  for (; c < warmup + measure; ++c) {
-    while (next < plan.size() && plan[next].at == c)
-      net.send(plan[next++].msg, c);
-    net.tick(c);
-  }
+  net.run(warmup, warmup + measure);
   const std::uint64_t allocs =
       g_alloc_count.load(std::memory_order_relaxed) - before;
   if (allocs != 0) {

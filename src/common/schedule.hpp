@@ -17,7 +17,8 @@
 // earliest cycle at which anything in the shard can possibly act. A shard
 // whose frontier is beyond the current cycle skips the scan entirely, and
 // when every shard's frontier is in the future the engine fast-forwards the
-// global clock to the minimum frontier in one step (see System::run_cycles).
+// global clock to the minimum frontier in one step (see Network::run, the
+// one tick engine that owns the schedules).
 //
 // Three modes:
 //   Activity - tick only components whose wake_at has arrived (default).
@@ -89,12 +90,6 @@ class Ticker {
     stamp_ = stamp;
     frontier_ = frontier;
   }
-  /// Restore inline storage (schedule teardown; keeps the current stamp).
-  void unbind_activity() {
-    own_ = *stamp_;
-    stamp_ = &own_;
-    frontier_ = &own_;
-  }
 
  private:
   Cycle own_ = 0;
@@ -141,19 +136,20 @@ inline void tick_scheduled(C& c, Cycle now, TickMode mode, const char* what) {
 /// completion flushing cross-shard mailboxes while workers are parked); it
 /// is raised only by sweep itself, which recomputes it as the exact minimum
 /// over all stamps.
-class ShardSchedule {
+///
+/// Cache-line aligned: each shard's worker rewrites its own frontier every
+/// sweep, and an owner allocates all its schedules back to back, so two
+/// shards' schedules must never share a line.
+class alignas(64) ShardSchedule {
  public:
   ShardSchedule() = default;
   // Sealing hands out pointers to stamps_ *and* to frontier_ itself, so a
   // sealed schedule must never change address: owners hold unique_ptrs.
   ShardSchedule(const ShardSchedule&) = delete;
   ShardSchedule& operator=(const ShardSchedule&) = delete;
-  ~ShardSchedule() {
-    // Components outlive their schedule (members are declared after the
-    // component containers in System/SyntheticTraffic); hand their stamps
-    // back so a schedule-less tick loop keeps working.
-    for (Ticker* t : tickers_) t->unbind_activity();
-  }
+  // Destruction touches no registered component: a sealed Ticker stays
+  // bound for the rest of its life, and the owning Network outlives every
+  // sweep (see the member order in noc/network.hpp).
 
   template <typename C>
   void add(C* c, const char* what) {

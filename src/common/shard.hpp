@@ -1,5 +1,5 @@
-// Sharded parallel tick engine: mesh partitioning and the per-cycle barrier
-// loop shared by System and SyntheticTraffic.
+// Sharded parallel execution: mesh partitioning and the per-cycle barrier
+// loop underneath the one tick engine, Network::run (noc/network.hpp).
 //
 // The mesh is split into contiguous tile shards (each tile = core + L1 + L2
 // bank + optional MC + router + NI); one worker thread owns each shard and
@@ -8,8 +8,8 @@
 // here: components only exchange data through latency Pipes (latency >= 1),
 // so an item pushed in cycle t is never consumable before t+1 and the order
 // in which shards progress *within* a cycle is unobservable. Cross-shard
-// pushes are deferred into per-pipe mailboxes and flushed at the barrier
-// (see Pipe::set_deferred / Network::finish_cycle), which also gives the
+// pushes are deferred into per-pipe mailboxes and flushed in the barrier
+// completion (see Pipe::set_deferred / Network::run), which also gives the
 // Validator a consistent post-barrier global view.
 //
 // Stats stay bit-identical across shard counts because every component

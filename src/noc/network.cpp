@@ -98,7 +98,7 @@ Network::Network(const NocConfig& cfg)
     routers_[a]->wire(Dir::Local, w);
     nis_[a]->wire(inject, inj_credits, eject, undo);
   }
-  ranges_.push_back({0, static_cast<NodeId>(n)});
+  configure_shards(1);
 }
 
 void Network::send(const MsgPtr& msg, Cycle now) {
@@ -141,9 +141,8 @@ void Network::set_observer(NocObserver* obs) {
 }
 
 void Network::drain_local(NodeId n, Cycle now) {
-  // Same-tile bypass pipes are drained unconditionally: they feed the
-  // deliver callback directly (no Ticker on the consuming end), and the
-  // empty() guard makes the quiescent case a single branch per node.
+  // Woken by the pipe on push (LocalDrain); in Always/Verify mode every
+  // drain runs each cycle, and the empty() guard keeps that one branch.
   auto& p = local_pipes_[n];
   if (p.empty()) return;
   while (auto m = p.pop_ready(now)) {
@@ -152,39 +151,22 @@ void Network::drain_local(NodeId n, Cycle now) {
   }
 }
 
-void Network::tick(Cycle now) {
-  RC_ASSERT(ranges_.size() <= 1,
-            "Network::tick on a sharded network — use tick_shard/finish_cycle");
-  const NodeId n = static_cast<NodeId>(nis_.size());
-  for (NodeId i = 0; i < n; ++i) drain_local(i, now);
-  // Fixed scan order (all NIs, then all routers, in node order) regardless
-  // of mode: activity scheduling skips quiescent components in place, so
-  // the components that do tick run in exactly the always-tick order.
-  for (auto& ni : nis_) tick_scheduled(*ni, now, mode_, "network interface");
-  for (auto& r : routers_) tick_scheduled(*r, now, mode_, "router");
-  if (obs_) obs_->on_network_cycle(now);
-}
-
-void Network::configure_shards(const std::vector<ShardRange>& ranges) {
+void Network::configure_shards(int shards) {
+  RC_ASSERT(!sealed_, "configure_shards after the first run");
+  for (const auto& s : scheds_)
+    RC_ASSERT(s->size() == 0, "configure_shards after add_ticker");
   const int n = topo_.num_nodes();
-  RC_ASSERT(!ranges.empty(), "configure_shards: no ranges");
-  RC_ASSERT(ranges.front().begin == 0 && ranges.back().end == n,
-            "configure_shards: ranges must cover [0, num_nodes)");
-  for (std::size_t k = 1; k < ranges.size(); ++k)
-    RC_ASSERT(ranges[k].begin == ranges[k - 1].end,
-              "configure_shards: ranges must be contiguous");
-
+  ranges_ = shard_ranges(n, shards);
   std::vector<int> shard_of(static_cast<std::size_t>(n), 0);
-  for (std::size_t k = 0; k < ranges.size(); ++k)
-    for (NodeId i = ranges[k].begin; i < ranges[k].end; ++i)
+  for (std::size_t k = 0; k < ranges_.size(); ++k)
+    for (NodeId i = ranges_[k].begin; i < ranges_[k].end; ++i)
       shard_of[static_cast<std::size_t>(i)] = static_cast<int>(k);
 
-  // Reconfigurable: pipes that no longer cross a boundary drop back to
-  // immediate pushes. set_deferred asserts the mailbox is empty, so this
-  // must happen between cycles (construction or after a finish_cycle).
-  // Cross pipes register in their *producer* shard's dirty list on the
-  // first push of a cycle; finish_cycle flushes exactly the dirty ones.
-  dirty_.assign(ranges.size(), PipeDirtyList{});
+  // Pipes that no longer cross a boundary drop back to immediate pushes
+  // (set_deferred asserts the mailbox is empty; nothing has run yet). Cross
+  // pipes register in their *producer* shard's dirty list on the first push
+  // of a cycle; finish_cycle flushes exactly the dirty ones.
+  dirty_.assign(ranges_.size(), PipeDirtyList{});
   for (const auto& l : flit_links_) {
     const int ps = shard_of[static_cast<std::size_t>(l.producer)];
     const bool cross = ps != shard_of[static_cast<std::size_t>(l.consumer)];
@@ -195,19 +177,67 @@ void Network::configure_shards(const std::vector<ShardRange>& ranges) {
     const bool cross = ps != shard_of[static_cast<std::size_t>(l.consumer)];
     l.pipe->set_deferred(cross, cross ? &dirty_[ps] : nullptr);
   }
-  ranges_ = ranges;
+  scheds_.clear();
+  for (std::size_t k = 0; k < ranges_.size(); ++k)
+    scheds_.push_back(std::make_unique<ShardSchedule>());
 }
 
-void Network::tick_shard(int shard, Cycle now) {
-  RC_ASSERT(shard >= 0 && shard < static_cast<int>(ranges_.size()),
-            "tick_shard: bad shard index");
-  const ShardRange r = ranges_[static_cast<std::size_t>(shard)];
-  // Same in-node order as the serial tick: bypasses, NIs, routers.
-  for (NodeId i = r.begin; i < r.end; ++i) drain_local(i, now);
-  for (NodeId i = r.begin; i < r.end; ++i)
-    tick_scheduled(*nis_[i], now, mode_, "network interface");
-  for (NodeId i = r.begin; i < r.end; ++i)
-    tick_scheduled(*routers_[i], now, mode_, "router");
+void Network::seal_schedules() {
+  for (std::size_t k = 0; k < scheds_.size(); ++k) {
+    ShardSchedule& s = *scheds_[k];
+    const ShardRange r = ranges_[k];
+    for (NodeId i = r.begin; i < r.end; ++i) s.add(&drains_[i], "local bypass");
+    for (NodeId i = r.begin; i < r.end; ++i)
+      s.add(nis_[i].get(), "network interface");
+    for (NodeId i = r.begin; i < r.end; ++i) s.add(routers_[i].get(), "router");
+    s.seal();
+  }
+  sealed_ = true;
+}
+
+Cycle Network::run(Cycle from, Cycle to) {
+  RC_ASSERT(from <= to, "Network::run: clock would run backwards");
+  if (!sealed_) seal_schedules();
+  now_ = from;
+  // Fast-forward is legal only when the scheduler is activity-driven
+  // (Always/Verify tick everything each cycle) and no observer is attached
+  // — the validator's watchdog and the telemetry sampler both require their
+  // per-cycle global scan.
+  const bool ffwd = mode_ == TickMode::Activity && obs_ == nullptr;
+  if (scheds_.size() == 1) {
+    NocObserver* obs = obs_;
+    ShardSchedule& sched = *scheds_[0];
+    while (now_ < to) {
+      const Cycle f = sched.sweep(now_, mode_);
+      if (obs) obs->on_network_cycle(now_);
+      Cycle next = now_ + 1;
+      if (ffwd && f > next) next = f;
+      now_ = next < to ? next : to;
+    }
+    return now_;
+  }
+  // Each worker sweeps its shard's schedule; cross-shard traffic parks in
+  // the deferred link pipes until the barrier completion flushes it. now_
+  // is only written there, with all workers parked, so components reading
+  // it mid-cycle always see the current cycle.
+  run_sharded(
+      num_shards(), from, to,
+      [this](int shard, Cycle c) { scheds_[shard]->sweep(c, mode_); },
+      [this, ffwd, to](Cycle c) -> Cycle {
+        finish_cycle(c);
+        Cycle next = c + 1;
+        if (ffwd) {
+          // The flush above may have lowered frontiers — read them only
+          // now, with every worker parked.
+          Cycle f = kNeverCycle;
+          for (const auto& s : scheds_)
+            if (s->frontier() < f) f = s->frontier();
+          if (f > next) next = f;
+        }
+        now_ = next < to ? next : to;
+        return now_;
+      });
+  return now_;
 }
 
 void Network::finish_cycle(Cycle now) {
@@ -219,16 +249,6 @@ void Network::finish_cycle(Cycle now) {
   // shards with nothing to exchange skip the phase.
   for (PipeDirtyList& dl : dirty_) dl.flush_all();
   if (obs_) obs_->on_network_cycle(now);
-}
-
-void Network::append_schedule(ShardSchedule& sched, const ShardRange& r) {
-  // Serial tick order within the shard: bypass drains, NIs, routers.
-  for (NodeId i = r.begin; i < r.end; ++i)
-    sched.add(&drains_[i], "local bypass");
-  for (NodeId i = r.begin; i < r.end; ++i)
-    sched.add(nis_[i].get(), "network interface");
-  for (NodeId i = r.begin; i < r.end; ++i)
-    sched.add(routers_[i].get(), "router");
 }
 
 StatSet Network::merged_stats() const {

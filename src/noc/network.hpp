@@ -5,14 +5,16 @@
 // same tile bypass the network (they never reach the router), matching the
 // paper's accounting, which only counts messages that traverse the NoC.
 //
-// Execution models:
-//  * serial — tick(now) advances every node, exactly as before;
-//  * sharded — configure_shards() splits the nodes into contiguous ranges
-//    (see common/shard.hpp); each worker calls tick_shard(k, now) for its
-//    range and the barrier completion calls finish_cycle(now), which flushes
-//    the deferred cross-shard pipes and fires the observer's global scan.
-//    Statistics are per node and merged on demand, so results are
-//    bit-identical for any shard count.
+// Execution model: the Network is the one tick engine. configure_shards()
+// splits the nodes into contiguous ranges (see common/shard.hpp) with one
+// ShardSchedule each; drivers (System, SyntheticTraffic, raw-fabric
+// harnesses) register their per-node Tickers with add_ticker(), and run()
+// sweeps every shard's drivers, then its same-tile bypasses, NIs and
+// routers. One shard is a plain serial loop; more run one worker per shard
+// with a per-cycle barrier whose completion flushes the deferred
+// cross-shard pipes and fires the observer's global scan. Either way an
+// idle system fast-forwards its clock. Statistics are per node and merged
+// on demand, so results are bit-identical for any shard count.
 #pragma once
 
 #include <deque>
@@ -22,6 +24,7 @@
 
 #include "common/config.hpp"
 #include "common/pipe.hpp"
+#include "common/schedule.hpp"
 #include "common/shard.hpp"
 #include "common/stats.hpp"
 #include "noc/message_pool.hpp"
@@ -47,7 +50,7 @@ class Network {
   /// Attach a passive fabric observer to every router, NI and circuit table
   /// (see noc/observer.hpp). Pass nullptr to detach. The observed network
   /// additionally fires NocObserver::on_network_cycle at the end of every
-  /// tick (serial) or from finish_cycle (sharded) — either way with a
+  /// simulated cycle (after the barrier flush when sharded) — with a
   /// consistent global view.
   void set_observer(NocObserver* obs);
   NocObserver* observer() const { return obs_; }
@@ -57,33 +60,37 @@ class Network {
   /// §4.6 hook: reply head injected, with circuit usage flag.
   void set_reply_injected(std::function<void(NodeId, const MsgPtr&, bool)> cb);
 
-  /// Serial tick: advance every node one cycle. Only valid when at most one
-  /// shard is configured (the default).
-  void tick(Cycle now);
-
-  // ---- sharded execution (see common/shard.hpp) ----
-  /// Partition the fabric. Pipes whose producer and consumer routers live in
-  /// different shards switch to deferred (mailbox) pushes. One range (the
-  /// default) restores fully serial behaviour.
-  void configure_shards(const std::vector<ShardRange>& ranges);
+  /// Partition the fabric into `shards` contiguous node ranges (clamped to
+  /// [1, num_nodes]), one schedule each. Pipes whose producer and consumer
+  /// routers land in different shards switch to deferred (mailbox) pushes.
+  /// Call before any add_ticker() and before the first run().
+  void configure_shards(int shards);
   int num_shards() const { return static_cast<int>(ranges_.size()); }
-  const std::vector<ShardRange>& shard_ranges_of() const { return ranges_; }
-  /// Advance shard k's nodes one cycle: drain their same-tile bypasses, tick
-  /// their NIs, then their routers — the same in-node order as tick().
-  void tick_shard(int shard, Cycle now);
-  /// Barrier completion: flush the deferred cross-shard pipes that actually
-  /// received pushes this cycle (each producer shard keeps a dirty list, so
-  /// quiet boundaries cost nothing), waking the consuming Tickers, then fire
-  /// the observer's global scan. Single-threaded by contract — all workers
-  /// are parked.
-  void finish_cycle(Cycle now);
 
-  /// Register the fabric components of nodes [r.begin, r.end) with a shard
-  /// schedule, in the serial tick order (bypass drains, NIs, routers). The
-  /// engines (System, SyntheticTraffic) build one schedule per shard and
-  /// drive sweeps themselves instead of calling tick()/tick_shard(); the
-  /// observer scan then becomes the engine's responsibility.
-  void append_schedule(ShardSchedule& sched, const ShardRange& r);
+  /// Register a driver component of `node` (a Ticker exposing tick(Cycle)
+  /// and next_work(Cycle)) with the schedule of the shard owning that node.
+  /// Register kind by kind, each kind in ascending node order: that is the
+  /// serial tick order, and every shard sweeps its drivers in it before its
+  /// fabric. The component must stay alive for every later run().
+  template <typename C>
+  void add_ticker(NodeId node, C* c, const char* what) {
+    RC_ASSERT(!sealed_, "Network::add_ticker after the first run");
+    std::size_t k = 0;
+    while (!ranges_[k].contains(node)) ++k;
+    scheds_[k]->add(c, what);
+  }
+
+  /// Simulate cycles [from, to) (from <= to) and return `to`: the only
+  /// tick loop. Seals the schedules on first use. now() is the cycle being
+  /// simulated while the run is in progress (drivers' callbacks read it)
+  /// and `to` after; run(c, c) just sets the clock.
+  /// When every frontier is in the future, the scheduler is activity-driven
+  /// and no observer needs a per-cycle scan, the clock jumps to the
+  /// earliest frontier.
+  Cycle run(Cycle from, Cycle to);
+  /// Advance one cycle: run(now, now + 1).
+  void tick(Cycle now) { run(now, now + 1); }
+  Cycle now() const { return now_; }
 
   const Topology& topo() const { return topo_; }
   const NocConfig& config() const { return cfg_; }
@@ -109,14 +116,24 @@ class Network {
   /// (construction order is config-deterministic, so the deque index is the
   /// identity), per-node stats, NIs and routers. Load restores pipes first —
   /// their enqueues fire wakers and pending masks as an over-approximation —
-  /// then the components overwrite the masks with saved values; the engine
-  /// overwrites the schedules' wake stamps last. Call only at a cycle
-  /// boundary (deferred mailboxes empty).
+  /// then the components overwrite the masks with saved values. Wake stamps
+  /// are not saved: a fresh fabric starts with every component awake, and
+  /// the first sweep re-arms them exactly. Call only at a cycle boundary
+  /// (deferred mailboxes empty).
   void save(StateWriter& w) const;
   bool load(StateReader& r);
 
  private:
   void drain_local(NodeId n, Cycle now);
+  /// Append every shard's fabric (bypass drains, NIs, routers — the serial
+  /// in-node order) after its drivers and seal the schedules. First run only.
+  void seal_schedules();
+  /// Barrier completion of a sharded cycle: flush the deferred cross-shard
+  /// pipes that actually received pushes this cycle (each producer shard
+  /// keeps a dirty list, so quiet boundaries cost nothing), waking the
+  /// consuming Tickers, then fire the observer's global scan.
+  /// Single-threaded by contract — all workers are parked.
+  void finish_cycle(Cycle now);
 
   /// Schedulable wrapper for one node's same-tile bypass pipe: the pipe
   /// wakes it on push, so a schedule sweep visits it only when a local
@@ -137,6 +154,15 @@ class Network {
   LatencyModel lat_;
   TickMode mode_;
   MessagePool pool_;
+  Cycle now_ = 0;
+
+  /// One activity-frontier schedule per shard. Declared before every
+  /// component container, so the stamp arrays outlive each Ticker bound
+  /// into them; the driver components that owners register are destroyed
+  /// before their owner's Network. Neither teardown touches the other:
+  /// nothing dereferences a registered component after the last run.
+  std::vector<std::unique_ptr<ShardSchedule>> scheds_;
+  bool sealed_ = false;
 
   // Stable-address pipe storage.
   std::deque<Pipe<Flit>> flit_pipes_;

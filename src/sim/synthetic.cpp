@@ -1,6 +1,5 @@
 #include "sim/synthetic.hpp"
 
-#include "noc/observer.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/validator.hpp"
 
@@ -16,8 +15,7 @@ SyntheticTraffic::SyntheticTraffic(const NocConfig& cfg, double rate,
   validator_ = Validator::maybe_attach(net_.get());
   telemetry_ = Telemetry::maybe_attach(net_.get());
   const int n = cfg_.num_nodes();
-  shards_ = effective_shards(shards, n);
-  if (shards_ > 1) net_->configure_shards(shard_ranges(n, shards_));
+  net_->configure_shards(effective_shards(shards, n));
   Rng root(seed);
   nodes_.resize(static_cast<std::size_t>(n));
   drivers_.resize(static_cast<std::size_t>(n));  // stable before seal
@@ -26,6 +24,7 @@ SyntheticTraffic::SyntheticTraffic(const NocConfig& cfg, double rate,
     draw_next_inject(nodes_[i], 0);  // first candidate cycle is 0
     drivers_[i].t = this;
     drivers_[i].node = i;
+    net_->add_ticker(i, &drivers_[i], "synthetic driver");
   }
   net_->set_deliver([this](NodeId node, const MsgPtr& m) {
     // Runs on the shard that owns `node`; touches only that node's state.
@@ -47,21 +46,6 @@ SyntheticTraffic::SyntheticTraffic(const NocConfig& cfg, double rate,
       ++st.replies_done;
     }
   });
-  build_schedules();
-}
-
-void SyntheticTraffic::build_schedules() {
-  const auto& ranges = net_->shard_ranges_of();
-  scheds_.reserve(ranges.size());
-  for (const ShardRange& r : ranges) {
-    auto s = std::make_unique<ShardSchedule>();
-    // Serial tick order: drivers of the shard's nodes, then the fabric.
-    for (NodeId i = r.begin; i < r.end; ++i)
-      s->add(&drivers_[i], "synthetic driver");
-    net_->append_schedule(*s, r);
-    s->seal();
-    scheds_.push_back(std::move(s));
-  }
 }
 
 void SyntheticTraffic::tick_node(NodeId i, Cycle now) {
@@ -94,47 +78,12 @@ void SyntheticTraffic::tick_node(NodeId i, Cycle now) {
   draw_next_inject(st, now + 1);
 }
 
-void SyntheticTraffic::run_cycles(Cycle n) {
-  const Cycle end = clock_ + n;
-  const TickMode mode = net_->tick_mode();
-  const bool ffwd =
-      mode == TickMode::Activity && net_->observer() == nullptr;
-  if (shards_ <= 1) {
-    NocObserver* obs = net_->observer();
-    ShardSchedule& sched = *scheds_[0];
-    while (clock_ < end) {
-      const Cycle f = sched.sweep(clock_, mode);
-      if (obs) obs->on_network_cycle(clock_);
-      Cycle next = clock_ + 1;
-      if (ffwd && f > next) next = f;
-      clock_ = next < end ? next : end;
-    }
-  } else if (n > 0) {
-    run_sharded(
-        shards_, clock_, end,
-        [this, mode](int shard, Cycle c) { scheds_[shard]->sweep(c, mode); },
-        [this, ffwd, end](Cycle c) -> Cycle {
-          net_->finish_cycle(c);
-          Cycle next = c + 1;
-          if (ffwd) {
-            Cycle f = kNeverCycle;
-            for (const auto& s : scheds_)
-              if (s->frontier() < f) f = s->frontier();
-            if (f > next) next = f;
-          }
-          if (next > end) next = end;
-          clock_ = next;
-          return next;
-        });
-  }
-}
-
 SyntheticResult SyntheticTraffic::run(Cycle warmup, Cycle measure) {
-  run_cycles(warmup);
+  const Cycle reset_at = net_->run(net_->now(), net_->now() + warmup);
   net_->reset_stats();
-  if (telemetry_) telemetry_->note_stats_reset(clock_);
+  if (telemetry_) telemetry_->note_stats_reset(reset_at);
   for (NodeState& st : nodes_) st.requests_done = 0;
-  run_cycles(measure);
+  net_->run(reset_at, reset_at + measure);
 
   SyntheticResult r;
   r.offered_load = rate_ * 100.0;

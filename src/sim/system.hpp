@@ -37,13 +37,15 @@ class System {
   /// Functional cache warm-up (called by run(); idempotent).
   void prewarm();
 
-  /// Advance the clock by `n` cycles (exposed for tests).
+  /// Advance the clock by `n` cycles on the fabric's tick engine
+  /// (Network::run), then fold the cores' batched stall counts in.
   void run_cycles(Cycle n);
 
   /// Reset all statistics (end of warm-up).
   void reset_stats();
 
-  Cycle now() const { return now_; }
+  /// The cycle being simulated during run_cycles, the next one between.
+  Cycle now() const { return net_->now(); }
   const SystemConfig& config() const { return cfg_; }
   /// Scheduling mode in effect (config + environment overrides).
   TickMode tick_mode() const { return net_->tick_mode(); }
@@ -54,7 +56,7 @@ class System {
   Telemetry* telemetry() { return telemetry_.get(); }
   /// Effective worker-shard count (cfg.shards / RC_SHARDS, resolved and
   /// clamped at construction; 1 = serial tick loop).
-  int shards() const { return shards_; }
+  int shards() const { return net_->num_shards(); }
   /// Controller statistics of every node merged in fixed node order
   /// (bit-identical for any shard count). Walks every node's maps — cache
   /// the result rather than calling per cycle.
@@ -88,20 +90,18 @@ class System {
 
  private:
   void deliver(NodeId node, const MsgPtr& msg);
-  /// Build one ShardSchedule per shard (serial per-node tick order: cores,
-  /// L1s, L2 banks, MCs, then the fabric) and seal them. Construction only.
-  void build_schedules();
 
   SystemConfig cfg_;
-  Cycle now_ = 0;
   bool prewarmed_ = false;
-  int shards_ = 1;
   /// Sized to num_nodes before any controller captures a pointer; each
   /// tile's controllers write only their own entry, so shard workers never
   /// share a StatSet.
   std::vector<StatSet> node_sys_stats_;
   std::function<void(NodeId, const MsgPtr&)> observer_;
 
+  /// The tick engine. Declared before the controllers it schedules, so
+  /// they are destroyed first while their wake stamps (in net_'s
+  /// schedules) are still allocated; no schedule touches them afterwards.
   std::unique_ptr<Network> net_;
   std::unique_ptr<Validator> validator_;
   /// Attached after (and destroyed before) the validator, so detaching the
@@ -113,10 +113,6 @@ class System {
   std::vector<std::unique_ptr<MemoryController>> mcs_;  ///< indexed by node
   std::vector<std::unique_ptr<Core>> cores_;
   std::vector<AppProfile> core_profs_;
-  /// One activity-frontier schedule per shard. Declared last: schedules are
-  /// destroyed first and hand the bound wake stamps back to the components
-  /// (~ShardSchedule), which must still be alive.
-  std::vector<std::unique_ptr<ShardSchedule>> scheds_;
 };
 
 }  // namespace rc

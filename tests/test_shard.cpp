@@ -5,8 +5,9 @@
 //  * run_sharded barrier semantics (per-cycle lockstep, error propagation),
 //  * MessagePool double-pin / reuse-after-release detection,
 //  * the headline guarantee: bit-identical RunResult statistics (counters,
-//    accumulators, IPC, energy) for 1 vs 2 vs 4 shards on every preset, and
-//    for the synthetic load-sweep driver.
+//    accumulators, IPC, energy) for 1 vs 2 vs 4 shards on every preset (and
+//    1 vs 2/4/8 on a 16x16 CMP), for the synthetic load-sweep driver, and
+//    for a raw fabric driven by per-node injectors in both tick modes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +20,8 @@
 #include "cpu/apps.hpp"
 #include "noc/message.hpp"
 #include "noc/message_pool.hpp"
+#include "noc/network.hpp"
+#include "noc/plan_injector.hpp"
 #include "sim/experiment.hpp"
 #include "sim/presets.hpp"
 #include "sim/synthetic.hpp"
@@ -220,12 +223,22 @@ void expect_stats_equal(const StatSet& a, const StatSet& b,
 }
 
 RunResult run_with_shards(const std::string& preset, const std::string& app,
-                          int shards) {
-  SystemConfig cfg = make_system_config(16, preset, app, /*seed=*/1);
-  cfg.warmup_cycles = 500;
-  cfg.measure_cycles = 2'000;
+                          int shards, int cores = 16, Cycle warmup = 500,
+                          Cycle measure = 2'000) {
+  SystemConfig cfg = make_system_config(cores, preset, app, /*seed=*/1);
+  cfg.warmup_cycles = warmup;
+  cfg.measure_cycles = measure;
   cfg.shards = shards;  // explicit — wins over any RC_SHARDS in the env
   return run_config(cfg, preset);
+}
+
+void expect_runs_equal(const RunResult& serial, const RunResult& par,
+                       const std::string& what) {
+  EXPECT_EQ(serial.retired, par.retired) << what;
+  EXPECT_EQ(serial.ipc, par.ipc) << what;
+  EXPECT_EQ(serial.energy_per_instr, par.energy_per_instr) << what;
+  expect_stats_equal(serial.net, par.net, what + " [net]");
+  expect_stats_equal(serial.sys, par.sys, what + " [sys]");
 }
 
 TEST(ShardDeterminism, AllPresetsAllSmallAppsBitIdentical) {
@@ -245,18 +258,22 @@ TEST(ShardDeterminism, AllPresetsAllSmallAppsBitIdentical) {
   for (const std::string& preset : presets) {
     for (const std::string& app : apps) {
       const RunResult serial = run_with_shards(preset, app, 1);
-      for (int shards : {2, 4}) {
-        const RunResult par = run_with_shards(preset, app, shards);
-        const std::string what =
-            preset + "/" + app + " shards=" + std::to_string(shards);
-        EXPECT_EQ(serial.retired, par.retired) << what;
-        EXPECT_EQ(serial.ipc, par.ipc) << what;
-        EXPECT_EQ(serial.energy_per_instr, par.energy_per_instr) << what;
-        expect_stats_equal(serial.net, par.net, what + " [net]");
-        expect_stats_equal(serial.sys, par.sys, what + " [sys]");
-      }
+      for (int shards : {2, 4})
+        expect_runs_equal(serial, run_with_shards(preset, app, shards),
+                          preset + "/" + app + " shards=" +
+                              std::to_string(shards));
     }
   }
+  // A 16x16 CMP, where every shard owns several mesh rows and real
+  // parallelism matters: short windows keep it to a few seconds.
+  const RunResult serial =
+      run_with_shards("SlackDelay1_NoAck", "fft", 1, 256, 200, 600);
+  ASSERT_GT(serial.retired, 0u);
+  for (int shards : {2, 4, 8})
+    expect_runs_equal(
+        serial,
+        run_with_shards("SlackDelay1_NoAck", "fft", shards, 256, 200, 600),
+        "16x16 shards=" + std::to_string(shards));
 }
 
 TEST(ShardDeterminism, SyntheticDriverBitIdentical) {
@@ -275,6 +292,44 @@ TEST(ShardDeterminism, SyntheticDriverBitIdentical) {
     EXPECT_EQ(serial.reply_latency, par.reply_latency) << what;
     EXPECT_EQ(serial.circuit_use, par.circuit_use) << what;
     expect_stats_equal(serial.net, par.net, what);
+  }
+}
+
+// A raw fabric (no cores, no caches) fed by per-node plan injectors — the
+// shape of bench-report's micro-router entry, and the only sharded path
+// without a System or SyntheticTraffic around it.
+StatSet run_raw_fabric(int shards, TickMode mode, std::uint64_t* delivered) {
+  NocConfig cfg;
+  cfg.mesh_w = cfg.mesh_h = 8;
+  cfg.tick = mode;
+  Network net(cfg);
+  net.configure_shards(shards);
+  // Written only by the shard owning the destination node.
+  std::vector<std::uint64_t> got(static_cast<std::size_t>(cfg.num_nodes()));
+  net.set_deliver([&got](NodeId node, const MsgPtr&) { ++got[node]; });
+  std::vector<PlanInjector> inj;
+  plan_uniform_requests(net, &inj, 2'000, /*every=*/2, /*seed=*/7);
+  EXPECT_EQ(net.run(0, 2'500), 2'500u);
+  EXPECT_TRUE(net.idle());
+  *delivered = 0;
+  for (std::uint64_t g : got) *delivered += g;
+  return net.merged_stats();
+}
+
+TEST(ShardDeterminism, RawFabricBitIdentical) {
+  std::uint64_t serial_delivered = 0;
+  const StatSet serial =
+      run_raw_fabric(1, TickMode::Activity, &serial_delivered);
+  ASSERT_GT(serial_delivered, 900u);
+  for (TickMode mode : {TickMode::Activity, TickMode::Always}) {
+    for (int shards : {1, 2, 4}) {
+      std::uint64_t delivered = 0;
+      const StatSet par = run_raw_fabric(shards, mode, &delivered);
+      const std::string what = std::string("raw fabric ") + to_string(mode) +
+                               " shards=" + std::to_string(shards);
+      EXPECT_EQ(serial_delivered, delivered) << what;
+      expect_stats_equal(serial, par, what);
+    }
   }
 }
 

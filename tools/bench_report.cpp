@@ -40,6 +40,7 @@
 #include "common/atomic_file.hpp"
 #include "common/parse.hpp"
 #include "common/shard.hpp"
+#include "noc/plan_injector.hpp"
 #include "sim/experiment.hpp"
 #include "sim/presets.hpp"
 #include "sim/synthetic.hpp"
@@ -97,64 +98,19 @@ Entry bench_loadsweep_big(int side, double rate, Cycle measure, int shards) {
 }
 
 // Mirrors bench_micro_router's BM_LoadedNetworkTick at mesh 8: a raw fabric
-// with one 1-flit request injected every 4th cycle. The injection schedule
-// is pre-generated from one RNG so the offered traffic is identical for any
-// shard count, then each shard injects the messages whose source it owns.
+// with one 1-flit request injected every 4th cycle, replayed from the same
+// pre-generated plan for any shard count.
 Entry bench_micro_router(Cycle cycles, int shards) {
   NocConfig cfg;
   cfg.mesh_w = cfg.mesh_h = 8;
   Network net(cfg);
+  net.configure_shards(shards);
   net.set_deliver([](NodeId, const MsgPtr&) {});
-
-  struct Inj {
-    Cycle at;
-    MsgPtr msg;
-  };
-  std::vector<Inj> plan;
-  Rng rng(7);
-  std::uint64_t id = 0;
-  for (Cycle c = 0; c < cycles; c += 4) {
-    auto m = std::make_shared<Message>();
-    m->id = ++id;
-    m->type = MsgType::GetS;
-    m->src = static_cast<NodeId>(rng.next_below(cfg.num_nodes()));
-    m->dest = static_cast<NodeId>(rng.next_below(cfg.num_nodes()));
-    m->addr = 64 * id;
-    m->size_flits = 1;
-    if (m->src != m->dest) plan.push_back(Inj{c, std::move(m)});
-  }
+  std::vector<PlanInjector> inj;
+  plan_uniform_requests(net, &inj, cycles, /*every=*/4, /*seed=*/7);
 
   const double t0 = now_s();
-  if (shards <= 1) {
-    std::size_t next = 0;
-    for (Cycle c = 0; c < cycles; ++c) {
-      while (next < plan.size() && plan[next].at == c)
-        net.send(plan[next++].msg, c);
-      net.tick(c);
-    }
-  } else {
-    const auto ranges = shard_ranges(cfg.num_nodes(), shards);
-    net.configure_shards(ranges);
-    // Per-shard cursors into the shared, read-only plan; each shard only
-    // sends the messages whose source node it owns.
-    std::vector<std::size_t> cursor(ranges.size(), 0);
-    run_sharded(
-        static_cast<int>(ranges.size()), 0, cycles,
-        [&](int shard, Cycle c) {
-          const ShardRange r = ranges[static_cast<std::size_t>(shard)];
-          std::size_t& i = cursor[static_cast<std::size_t>(shard)];
-          while (i < plan.size() && plan[i].at <= c) {
-            if (plan[i].at == c && r.contains(plan[i].msg->src))
-              net.send(plan[i].msg, c);
-            ++i;
-          }
-          net.tick_shard(shard, c);
-        },
-        [&](Cycle c) {
-          net.finish_cycle(c);
-          return c + 1;
-        });
-  }
+  net.run(0, cycles);
   const double t1 = now_s();
   return Entry{"micro_router_loaded_8x8", t1 - t0, cycles};
 }
@@ -184,14 +140,6 @@ struct CmpEntry {
   double cps = 0;  ///< cycles per second
 };
 
-/// Reader errors are user-facing (bad path on the command line, a corrupt
-/// artifact): report and exit 2. fatal() throws, and an uncaught FatalError
-/// aborts — the wrong exit for "your input file is bad".
-[[noreturn]] void die2(const std::string& msg) {
-  std::fprintf(stderr, "bench-report: %s\n", msg.c_str());
-  std::exit(2);
-}
-
 std::string trim(const char* s) {
   std::string t = s;
   while (!t.empty() && (t.back() == '\n' || t.back() == '\r' ||
@@ -211,7 +159,7 @@ std::string trim(const char* s) {
 /// instead of silently comparing whatever lines happened to match.
 std::vector<CmpEntry> load_report(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "r");
-  if (!f) die2("cannot read " + path);
+  if (!f) fatal("bench-report: cannot read " + path);
   std::vector<CmpEntry> out;
   char line[512];
   int line_no = 0;
@@ -247,18 +195,20 @@ std::vector<CmpEntry> load_report(const std::string& path) {
                     "\"wall_s\": %lf, \"cycles\": %llu, "
                     "\"cycles_per_sec\": %lf}",
                     name, &shards, &wall, &cycles, &cps) != 5)
-      die2(path + ":" + std::to_string(line_no) +
-           ": malformed result entry (corrupt or truncated report)");
+      fatal("bench-report: " + path + ":" + std::to_string(line_no) +
+            ": malformed result entry (corrupt or truncated report)");
     out.push_back(CmpEntry{name, shards, cps});
   }
-  if (std::ferror(f)) die2("I/O error reading " + path);
+  if (std::ferror(f)) fatal("bench-report: I/O error reading " + path);
   std::fclose(f);
   if (!in_results)
-    die2(path + ": not a bench-report file (no \"results\" array)");
+    fatal("bench-report: " + path +
+          ": not a bench-report file (no \"results\" array)");
   if (!results_closed || !doc_closed)
-    die2(path + ": truncated report (file ends inside the \"results\" "
-                "array or before the closing brace)");
-  if (out.empty()) die2("no result entries in " + path);
+    fatal("bench-report: " + path +
+          ": truncated report (file ends inside the \"results\" array or "
+          "before the closing brace)");
+  if (out.empty()) fatal("bench-report: no result entries in " + path);
   return out;
 }
 
@@ -301,9 +251,7 @@ int run_compare(const std::string& old_path, const std::string& new_path,
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   if (argc >= 2 && std::string(argv[1]) == "--compare") {
     // Optional --tolerance=<pct> after the two paths tunes the regression
     // gate (default 10: flag any matched pair slower than 0.90x).
@@ -435,8 +383,21 @@ int main(int argc, char** argv) {
   // truncation load_report above refuses to read).
   std::string werr;
   if (!write_file_atomic(out_path, json, &werr))
-    die2("cannot write " + out_path + ": " + werr);
+    fatal("bench-report: cannot write " + out_path + ": " + werr);
   std::fputs(json.c_str(), stdout);
   std::fprintf(stdout, "wrote %s\n", out_path.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Bad input (argv, unreadable or corrupt report files) surfaces as a
+  // FatalError whose diagnostic fatal() has already printed: exit 2, never
+  // an abort.
+  try {
+    return bench_main(argc, argv);
+  } catch (const FatalError&) {
+    return 2;
+  }
 }

@@ -25,13 +25,13 @@ using namespace rc;
 
 namespace {
 
-int usage(std::FILE* to) {
-  std::fprintf(to,
+int usage() {
+  std::fprintf(stderr,
                "usage: rc-trace summarize FILE [--all]\n"
                "       rc-trace diff A B [--all]\n"
                "  --all   include events before the last stats reset "
                "(warm-up)\n");
-  return to == stdout ? 0 : 2;
+  return 2;
 }
 
 bool load_summary(const std::string& path, bool include_warmup,
@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> paths;
   bool include_warmup = false;
   for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--help")) return usage(stdout);
+    if (!std::strcmp(argv[i], "--help")) return usage();
     if (!std::strcmp(argv[i], "--all")) {
       include_warmup = true;
       continue;
@@ -127,5 +127,5 @@ int main(int argc, char** argv) {
   }
   if (cmd == "diff" && paths.size() == 2)
     return run_diff(paths[0], paths[1], include_warmup);
-  return usage(stderr);
+  return usage();
 }
