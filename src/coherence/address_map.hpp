@@ -1,6 +1,8 @@
 // Address interleaving: which L2 bank (and memory controller) owns a line.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/types.hpp"
@@ -20,8 +22,8 @@ namespace rc {
 /// off-chip).
 class AddressMap {
  public:
-  explicit AddressMap(const Topology* topo, int partition_side = 0)
-      : topo_(topo), pside_(partition_side) {}
+  /// Builds the per-partition node tables once; `topo` must outlive the map.
+  explicit AddressMap(const Topology* topo, int partition_side = 0);
 
   bool partitioned() const { return pside_ > 0; }
   int partition_side() const { return pside_; }
@@ -38,8 +40,14 @@ class AddressMap {
     return (c.y / pside_) * partitions_per_row() + c.x / pside_;
   }
 
-  /// Nodes of partition `p`, row-major.
-  std::vector<NodeId> partition_nodes(int p) const;
+  /// Nodes of partition `p`, row-major (every node when monolithic).
+  const std::vector<NodeId>& partition_nodes(int p) const {
+    return part_nodes_[static_cast<std::size_t>(p)];
+  }
+  /// Index of node `n` within partition_nodes(partition_of(n)).
+  int member_index(NodeId n) const {
+    return member_idx_[static_cast<std::size_t>(n)];
+  }
 
   /// Which partition an address belongs to (derived from the workload
   /// layout: private regions belong to their owning core's partition,
@@ -48,11 +56,42 @@ class AddressMap {
 
   NodeId home_l2(Addr addr) const;
 
+  /// Calls `fn(a)` for every line address `a` of the region of `lines`
+  /// lines starting at the line-aligned `base` with home_l2(a) == `bank`,
+  /// in ascending order. Within a run of constant partition the home is
+  /// partition_nodes(p)[line % members], so the lines homed at `bank` are an
+  /// arithmetic stride of `members` lines starting at its member index;
+  /// runs of other partitions are skipped whole.
+  template <typename Fn>
+  void for_each_line_homed_at(NodeId bank, Addr base, std::uint64_t lines,
+                              Fn&& fn) const {
+    RC_ASSERT(base % kLineBytes == 0, "region base must be line-aligned");
+    const int part = partition_of(bank);
+    const Addr m = partition_nodes(part).size();
+    const Addr k = static_cast<Addr>(member_index(bank));
+    const Addr end = base + lines * kLineBytes;
+    for (Addr a = base; a < end;) {
+      const Addr run_end = std::min(end, partition_run_end(a));
+      if (partition_of_addr(a) == part) {
+        Addr l = a / kLineBytes;
+        for (l += (k + m - l % m) % m; l * kLineBytes < run_end; l += m)
+          fn(l * kLineBytes);
+      }
+      a = run_end;
+    }
+  }
+
   NodeId mem_ctrl(Addr addr) const { return topo_->mem_ctrl_for(addr); }
 
  private:
+  /// First address above `a` at which partition_of_addr() may differ from
+  /// its value at `a` (the end of the address space when monolithic).
+  Addr partition_run_end(Addr a) const;
+
   const Topology* topo_;
   int pside_;
+  std::vector<std::vector<NodeId>> part_nodes_;  ///< per partition
+  std::vector<int> member_idx_;                  ///< per node
 };
 
 /// Byte span of one partition's shared (and migratory) slice when

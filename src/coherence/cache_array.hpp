@@ -2,6 +2,7 @@
 // shared by the L1 caches and the L2 banks.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -26,6 +27,7 @@ class CacheArray {
   /// of the bank's sets instead of the 1/num_banks aliased subset.
   CacheArray(int sets, int ways, int index_stride = 1)
       : sets_(sets), ways_(ways), stride_(index_stride),
+        fold_(std::bit_width(static_cast<unsigned>(sets)) - 1),
         lines_(static_cast<std::size_t>(sets) * ways) {}
 
   int sets() const { return sets_; }
@@ -35,9 +37,7 @@ class CacheArray {
     Addr h = addr / kLineBytes / static_cast<Addr>(stride_);
     // XOR-fold the tag bits into the index (standard set-index hashing) so
     // power-of-two-aligned regions do not alias into the same few sets.
-    int lg = 0;
-    while ((1 << (lg + 1)) <= sets_) ++lg;
-    h ^= (h >> lg) ^ (h >> (2 * lg));
+    h ^= (h >> fold_) ^ (h >> (2 * fold_));
     return static_cast<int>(h % static_cast<Addr>(sets_));
   }
 
@@ -50,6 +50,26 @@ class CacheArray {
       if (l.valid && l.tag == la) return &l;
     }
     return nullptr;
+  }
+
+  /// One scan of addr's set: the line holding `addr` (`*hit` = true), else
+  /// the first free way (`*hit` = false, the way free_way() would return),
+  /// else nullptr when the set is full.
+  Line* find_or_free(Addr addr, bool* hit) {
+    Addr la = line_addr(addr);
+    int s = set_of(la);
+    Line* free = nullptr;
+    for (int w = 0; w < ways_; ++w) {
+      Line& l = lines_[static_cast<std::size_t>(s) * ways_ + w];
+      if (!l.valid) {
+        if (!free) free = &l;
+      } else if (l.tag == la) {
+        *hit = true;
+        return &l;
+      }
+    }
+    *hit = false;
+    return free;
   }
 
   /// Touch for replacement ordering.
@@ -83,11 +103,17 @@ class CacheArray {
   Line* install(Addr addr, Cycle now) {
     Line* l = free_way(addr);
     RC_ASSERT(l != nullptr, "install without a free way");
-    l->valid = true;
-    l->tag = line_addr(addr);
-    l->last_used = now;
-    l->meta = Meta{};
-    return l;
+    return install_at(*l, addr, now);
+  }
+
+  /// Install `addr` in `way`, a free way of addr's set the caller already
+  /// found (find_or_free), without scanning the set again.
+  Line* install_at(Line& way, Addr addr, Cycle now) {
+    way.valid = true;
+    way.tag = line_addr(addr);
+    way.last_used = now;
+    way.meta = Meta{};
+    return &way;
   }
 
   std::vector<Line>& lines() { return lines_; }
@@ -96,6 +122,7 @@ class CacheArray {
  private:
   int sets_, ways_;
   int stride_ = 1;
+  int fold_;  ///< set-index fold shift: floor(log2(sets_)), computed once
   std::vector<Line> lines_;
 };
 

@@ -21,6 +21,12 @@ Directory::Line* Directory::try_install(Addr addr, Cycle now) {
   return array_.install(addr, now);
 }
 
+Directory::Line* Directory::find_or_install(Addr addr, Cycle now) {
+  bool hit;
+  Line* l = array_.find_or_free(addr, &hit);
+  return l && !hit ? array_.install_at(*l, addr, now) : l;
+}
+
 Directory::Line* Directory::victim(
     Addr addr, const std::function<bool(Addr)>& evictable) {
   return array_.victim(addr, [&](const Line& l) { return evictable(l.tag); });

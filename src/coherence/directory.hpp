@@ -68,6 +68,9 @@ class Directory {
   /// Install in a free way of addr's set; nullptr when the set is full
   /// (the caller must evict a victim() first).
   Line* try_install(Addr addr, Cycle now);
+  /// The entry for `addr`, installed in a free way when absent (one set
+  /// scan); nullptr when absent and the set is full.
+  Line* find_or_install(Addr addr, Cycle now);
 
   /// LRU entry in addr's set whose tag satisfies `evictable` (the L2 bank
   /// excludes tags with an outstanding transaction); nullptr when none.

@@ -155,10 +155,10 @@ L1State L1Cache::state_of(Addr addr) {
 
 void L1Cache::prewarm_line(Addr addr, L1State st) {
   addr = line_addr(addr);
-  if (array_.find(addr)) return;
-  if (!array_.free_way(addr)) return;  // don't evict during warm-up
-  auto* line = array_.install(addr, 0);
-  line->meta.st = st;
+  bool hit;
+  auto* line = array_.find_or_free(addr, &hit);
+  if (hit || !line) return;  // don't evict during warm-up
+  array_.install_at(*line, addr, 0)->meta.st = st;
 }
 
 void L1Cache::save(StateWriter& w) const {

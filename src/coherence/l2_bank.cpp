@@ -418,8 +418,7 @@ void L2Bank::process_cpu_req_sparse(const MsgPtr& msg, Cycle now) {
 }
 
 Directory::Line* L2Bank::dir_ensure(const MsgPtr& msg, Cycle now) {
-  if (auto* d = dir_->find(msg->addr)) return d;
-  if (auto* d = dir_->try_install(msg->addr, now)) return d;
+  if (auto* d = dir_->find_or_install(msg->addr, now)) return d;
   auto* victim = dir_->victim(msg->addr, [&](Addr tag) {
     return txns_.find(tag) == txns_.end();
   });
@@ -597,22 +596,18 @@ NodeId L2Bank::owner_of(Addr addr) {
 
 bool L2Bank::prewarm_line(Addr addr, NodeId owner) {
   addr = line_addr(addr);
-  if (proto_ == Protocol::SparseMSI) {
-    if (!array_.find(addr)) {
-      if (!array_.free_way(addr)) return false;
-      array_.install(addr, 0);
-    }
-    if (owner == kInvalidNode) return true;
-    auto* d = dir_->find(addr);
-    if (!d) d = dir_->try_install(addr, 0);
-    if (!d) return false;  // directory set full: the L1 copy stays untracked
-    d->meta.owner = owner;
+  bool hit;
+  Line* line = array_.find_or_free(addr, &hit);
+  if (!line) return false;  // set full: warm-up never evicts
+  if (!hit) array_.install_at(*line, addr, 0);
+  if (proto_ != Protocol::SparseMSI) {
+    if (!hit) line->meta.owner = owner;
     return true;
   }
-  if (array_.find(addr)) return true;
-  if (!array_.free_way(addr)) return false;
-  auto* line = array_.install(addr, 0);
-  line->meta.owner = owner;
+  if (owner == kInvalidNode) return true;
+  auto* d = dir_->find_or_install(addr, 0);
+  if (!d) return false;  // directory set full: the L1 copy stays untracked
+  d->meta.owner = owner;
   return true;
 }
 

@@ -55,9 +55,11 @@ class L2Bank : public Ticker {
   NodeId owner_of(Addr addr);
 
   /// Functional warm-up: install a line (optionally with an L1 owner)
-  /// without any traffic. Returns whether the L1 copy is registered in the
-  /// directory — under SparseMSI a full directory set refuses, and the
-  /// caller must not plant an untracked L1 copy (full-map always accepts).
+  /// without any traffic, in one set scan. Warm-up never evicts: returns
+  /// false when the line's set is full or, under SparseMSI with an owner,
+  /// its directory set is. The owner is recorded only on a fresh install
+  /// (full-map) or in the directory entry (SparseMSI), where owner_of()
+  /// reads it back.
   bool prewarm_line(Addr addr, NodeId owner);
 
   /// Snapshot save/load: cache array (directory payload included), sparse

@@ -182,6 +182,12 @@ void Network::configure_shards(int shards) {
     scheds_.push_back(std::make_unique<ShardSchedule>());
 }
 
+void Network::for_each_shard(const std::function<void(ShardRange)>& fn) {
+  run_sharded(
+      num_shards(), 0, 1, [&](int k, Cycle) { fn(ranges_[k]); },
+      [](Cycle c) { return c + 1; });
+}
+
 void Network::seal_schedules() {
   for (std::size_t k = 0; k < scheds_.size(); ++k) {
     ShardSchedule& s = *scheds_[k];

@@ -67,6 +67,12 @@ class Network {
   void configure_shards(int shards);
   int num_shards() const { return static_cast<int>(ranges_.size()); }
 
+  /// Run `fn(range)` once for every shard's node range, on the shard
+  /// workers (run_sharded over one step; the calling thread is shard 0).
+  /// For setup passes outside the clock, such as System::prewarm: `fn` must
+  /// touch only state owned by the nodes of its range.
+  void for_each_shard(const std::function<void(ShardRange)>& fn);
+
   /// Register a driver component of `node` (a Ticker exposing tick(Cycle)
   /// and next_work(Cycle)) with the schedule of the shard owning that node.
   /// Register kind by kind, each kind in ascending node order: that is the

@@ -1,5 +1,6 @@
 #include "sim/system.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "common/state.hpp"
@@ -54,14 +55,11 @@ System::System(const SystemConfig& cfg) : cfg_(cfg) {
                                                root.fork(i + 1));
       if (amap_->partitioned()) {
         const int p = amap_->partition_of(i);
-        auto members = amap_->partition_nodes(p);
-        int member_idx = 0;
-        for (std::size_t k = 0; k < members.size(); ++k)
-          if (members[k] == i) member_idx = static_cast<int>(k);
         gen->set_region_bases(
             kSharedBase + static_cast<Addr>(p) * kPartitionSharedSpan,
             kMigratoryBase + static_cast<Addr>(p) * kPartitionSharedSpan,
-            static_cast<int>(members.size()), member_idx);
+            static_cast<int>(amap_->partition_nodes(p).size()),
+            amap_->member_index(i));
       }
       cores_.push_back(
           std::make_unique<Core>(i, std::move(gen), l1s_.back().get(),
@@ -149,46 +147,62 @@ void System::prewarm() {
   // warm-up: first accesses are remote-L2 hits, and only footprints that
   // genuinely exceed the aggregate L2 (canneal, ocean, mcf/lbm in the mix)
   // keep producing memory traffic.
+  //
+  // The regions in install order: per core its hot lines (owned by the
+  // core) and then the rest of its private set; then every partition's
+  // shared and migratory slice (one slice, offset zero, when the chip is
+  // monolithic). Sizes follow the largest profile in use (homogeneous
+  // runs: the single app; mix has no sharing).
+  struct Region {
+    Addr base;
+    std::uint32_t lines;
+    NodeId owner;
+  };
+  std::vector<Region> regions;
+  std::uint32_t shared_lines = 0, mig_lines = 0;
   for (NodeId c = 0; c < n; ++c) {
     const AppProfile& prof = core_profs_[c];
-    const std::uint32_t priv_hot =
-        hot_count(prof.private_lines, prof.hot_fraction);
-    Addr base = kPrivateBase + static_cast<Addr>(c) * kPrivateStride;
-    for (std::uint32_t i = 0; i < priv_hot; ++i) {
-      Addr a = base + static_cast<Addr>(i) * kLineBytes;
-      if (cfg_.protocol == Protocol::SparseMSI) {
-        // Directory capacity gates the L1 copy: an untracked modified line
-        // would dodge recalls. MSI has no E, so hot lines warm up in M.
-        if (l2s_[amap_->home_l2(a)]->prewarm_line(a, c))
-          l1s_[c]->prewarm_line(a, L1State::M);
-      } else {
-        l1s_[c]->prewarm_line(a, L1State::E);
-        l2s_[amap_->home_l2(a)]->prewarm_line(a, c);
-      }
-    }
-    for (std::uint32_t i = priv_hot; i < prof.private_lines; ++i) {
-      Addr a = base + static_cast<Addr>(i) * kLineBytes;
-      l2s_[amap_->home_l2(a)]->prewarm_line(a, kInvalidNode);
-    }
+    const std::uint32_t hot = hot_count(prof.private_lines, prof.hot_fraction);
+    const Addr base = kPrivateBase + static_cast<Addr>(c) * kPrivateStride;
+    regions.push_back({base, hot, c});
+    if (prof.private_lines > hot)
+      regions.push_back({base + static_cast<Addr>(hot) * kLineBytes,
+                         prof.private_lines - hot, kInvalidNode});
+    shared_lines = std::max(shared_lines, prof.shared_lines);
+    mig_lines = std::max(mig_lines, prof.migratory_lines);
   }
-  // Shared/migratory regions: every partition gets its slice (one slice,
-  // offset zero, when the chip is monolithic). Sizes follow the largest
-  // profile in use (homogeneous runs: the single app; mix has no sharing).
-  std::uint32_t shared_lines = 0, mig_lines = 0;
-  for (const auto& p : core_profs_) {
-    shared_lines = std::max(shared_lines, p.shared_lines);
-    mig_lines = std::max(mig_lines, p.migratory_lines);
-  }
-  const int nparts = amap_->num_partitions();
-  for (int p = 0; p < nparts; ++p) {
+  for (int p = 0; p < amap_->num_partitions(); ++p) {
     const Addr soff = static_cast<Addr>(p) * kPartitionSharedSpan;
-    for (std::uint32_t i = 0; i < shared_lines; ++i) {
-      Addr a = kSharedBase + soff + static_cast<Addr>(i) * kLineBytes;
-      l2s_[amap_->home_l2(a)]->prewarm_line(a, kInvalidNode);
+    regions.push_back({kSharedBase + soff, shared_lines, kInvalidNode});
+    regions.push_back({kMigratoryBase + soff, mig_lines, kInvalidNode});
+  }
+  // L2 pass, bank-major on the shard workers. Every bank (and its
+  // directory) receives its lines in the same order as a walk of the
+  // regions in address order would deliver them, so every way assignment
+  // and refusal is the same at any shard count; each bank is touched only
+  // by the worker owning its node.
+  net_->for_each_shard([&](ShardRange r) {
+    for (NodeId b = r.begin; b < r.end; ++b) {
+      L2Bank& bank = *l2s_[b];
+      for (const Region& g : regions)
+        amap_->for_each_line_homed_at(
+            b, g.base, g.lines, [&](Addr a) { bank.prewarm_line(a, g.owner); });
     }
-    for (std::uint32_t i = 0; i < mig_lines; ++i) {
-      Addr a = kMigratoryBase + soff + static_cast<Addr>(i) * kLineBytes;
-      l2s_[amap_->home_l2(a)]->prewarm_line(a, kInvalidNode);
+  });
+  // L1 pass, hot lines in core order. Full-map MESI plants every hot line
+  // in E. Under SparseMSI, directory capacity gates the L1 copy: an
+  // untracked modified line would dodge recalls, so only lines whose entry
+  // names the core are planted (in M: MSI has no E).
+  const bool sparse = cfg_.protocol == Protocol::SparseMSI;
+  for (const Region& g : regions) {
+    if (g.owner == kInvalidNode) continue;
+    L1Cache& l1 = *l1s_[g.owner];
+    for (std::uint32_t i = 0; i < g.lines; ++i) {
+      const Addr a = g.base + static_cast<Addr>(i) * kLineBytes;
+      if (!sparse)
+        l1.prewarm_line(a, L1State::E);
+      else if (l2s_[amap_->home_l2(a)]->owner_of(a) == g.owner)
+        l1.prewarm_line(a, L1State::M);
     }
   }
 }
