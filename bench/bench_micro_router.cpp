@@ -234,12 +234,13 @@ int run_steady_state_alloc_check() {
 }  // namespace rc
 
 int main(int argc, char** argv) {
-  // The invariant check runs before (and regardless of) any benchmark
+  // Flags are checked first: an unrecognized one exits 2, like every other
+  // binary. The invariant check then runs regardless of any benchmark
   // filter, so `bench_micro_router --benchmark_filter=NONE` is a fast
   // allocation-regression gate for CI.
-  if (const int rc = rc::run_steady_state_alloc_check(); rc != 0) return rc;
   benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
+  if (const int rc = rc::run_steady_state_alloc_check(); rc != 0) return rc;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -1,9 +1,11 @@
 // Coherence trace: drive a core-less CMP through the flows of the paper's
 // Table 3 and print every message that crosses the network — a readable
-// transcript of the MESI directory protocol the NoC carries.
+// transcript of the MESI directory protocol the NoC carries. Messages
+// between controllers of one tile bypass the fabric and are not shown.
 #include <cstdio>
 #include <memory>
 
+#include "noc/observer.hpp"
 #include "sim/presets.hpp"
 #include "sim/system.hpp"
 
@@ -11,19 +13,26 @@ using namespace rc;
 
 namespace {
 
+/// Prints each delivery as it happens. The system runs on one shard, so
+/// the hook fires on the calling thread in delivery order.
+struct Printer final : NocObserver {
+  void on_message_delivered(NodeId n, const Message& m, Cycle now) override {
+    if (m.scrounging) return;  // intermediate hop of a circuit scrounger
+    std::printf("    @%5llu  %2d -> %-2d  %-10s addr=%llx%s%s\n",
+                static_cast<unsigned long long>(now), m.src, n,
+                to_string(m.type), static_cast<unsigned long long>(m.addr),
+                m.on_circuit ? "  [circuit]" : "",
+                m.ack_elided ? "  [ack elided]" : "");
+  }
+};
+
 struct Tracer {
   explicit Tracer(const std::string& preset) {
     SystemConfig cfg = make_system_config(16, preset, "fft");
     cfg.workload = "none";
+    cfg.shards = 1;
     sys = std::make_unique<System>(cfg);
-    sys->set_message_observer([this](NodeId n, const MsgPtr& m) {
-      std::printf("    @%5llu  %2d -> %-2d  %-10s addr=%llx%s%s\n",
-                  static_cast<unsigned long long>(sys->now()), m->src, n,
-                  to_string(m->type),
-                  static_cast<unsigned long long>(m->addr),
-                  m->on_circuit ? "  [circuit]" : "",
-                  m->ack_elided ? "  [ack elided]" : "");
-    });
+    sys->network().set_observer(&printer);
   }
 
   void access(NodeId n, Addr a, bool write, const char* what) {
@@ -38,6 +47,7 @@ struct Tracer {
     sys->run_cycles(120);  // drain trailing ACKs for a tidy transcript
   }
 
+  Printer printer;
   std::unique_ptr<System> sys;
 };
 

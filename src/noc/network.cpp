@@ -103,7 +103,6 @@ Network::Network(const NocConfig& cfg)
 
 void Network::send(const MsgPtr& msg, Cycle now) {
   RC_ASSERT(msg->src >= 0 && msg->src < topo_.num_nodes(), "bad src");
-  if (send_observer_) send_observer_(msg, now);
   RC_ASSERT(msg->dest >= 0 && msg->dest < topo_.num_nodes(), "bad dest");
   if (msg->src == msg->dest) {
     msg->created = msg->injected = now;

@@ -42,11 +42,6 @@ class Network {
   /// from the shard that owns msg->src.
   void send(const MsgPtr& msg, Cycle now);
 
-  /// Observe every message handed to the fabric (tracing, liveness checks).
-  void set_send_observer(std::function<void(const MsgPtr&, Cycle)> cb) {
-    send_observer_ = std::move(cb);
-  }
-
   /// Attach a passive fabric observer to every router, NI and circuit table
   /// (see noc/observer.hpp). Pass nullptr to detach. The observed network
   /// additionally fires NocObserver::on_network_cycle at the end of every
@@ -198,7 +193,6 @@ class Network {
   std::vector<PipeDirtyList> dirty_;
 
   std::function<void(NodeId, const MsgPtr&)> deliver_;
-  std::function<void(const MsgPtr&, Cycle)> send_observer_;
   NocObserver* obs_ = nullptr;
 };
 

@@ -81,7 +81,6 @@ System::System(const SystemConfig& cfg) : cfg_(cfg) {
 }
 
 void System::deliver(NodeId node, const MsgPtr& msg) {
-  if (observer_) observer_(node, msg);
   switch (msg->type) {
     case MsgType::GetS:
     case MsgType::GetX:

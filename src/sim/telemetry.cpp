@@ -97,6 +97,9 @@ void Telemetry::on_message_delivered(NodeId node, const Message& m, Cycle now) {
   ev.msg = m.id;
   ev.cat = classify_reply_category(m, net_->config().circuit);
   if (emit_msg_types_) ev.mtype = static_cast<std::int16_t>(m.type);
+  ev.on_circuit = m.on_circuit;
+  ev.ack_elided = m.ack_elided;
+  ev.created = m.created;
   record(node, ev);
   if (next_) next_->on_message_delivered(node, m, now);
 }

@@ -74,6 +74,13 @@ struct TelemetryEvent {
   /// stay byte-identical; the protocol-variant runs switch it on to get
   /// per-protocol-class circuit hit rates in the digest.
   std::int16_t mtype = -1;
+  /// Deliver only, for the Chrome exporter (sim/trace.hpp): the message's
+  /// on-circuit and ACK-elided flags and its creation cycle (`cat` does not
+  /// settle on-circuit for a scrounger's last leg). Never written to the
+  /// JSONL file or to snapshots, so both formats are unchanged.
+  bool on_circuit = false;
+  bool ack_elided = false;
+  Cycle created = 0;
 };
 
 const char* to_string(TelemetryEvent::Kind k);

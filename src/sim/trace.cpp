@@ -1,20 +1,46 @@
 #include "sim/trace.hpp"
 
-#include <cstdio>
 #include <sstream>
+#include <unordered_map>
+
+#include "common/atomic_file.hpp"
 
 namespace rc {
 
-FlightRecorder::FlightRecorder(System* sys, std::size_t max_events)
-    : max_events_(max_events) {
-  sys->set_message_observer([this](NodeId, const MsgPtr& m) {
-    if (max_events_ == 0) return;
-    if (records_.size() >= max_events_) records_.pop_front();
-    records_.push_back({m->id, m->type, m->src, m->dest, m->created,
-                        m->injected, m->delivered, m->on_circuit,
-                        m->outcome == CircuitOutcome::Scrounged,
-                        m->ack_elided});
-  });
+FlightRecorder::FlightRecorder(const std::vector<TelemetryEvent>& events,
+                               std::size_t max_records) {
+  if (max_records == 0) return;
+  // Source node (first injection) and latest injection cycle of every
+  // message still in flight; a scrounger is re-injected at its
+  // intermediate hop, so its network slice starts at the onward leg.
+  struct Flight {
+    NodeId src;
+    Cycle injected;
+  };
+  std::unordered_map<std::uint64_t, Flight> flights;
+  for (const TelemetryEvent& ev : events) {
+    if (ev.kind == TelemetryEvent::Kind::Inject) {
+      auto [it, fresh] = flights.try_emplace(ev.msg, Flight{ev.node, ev.cycle});
+      if (!fresh) it->second.injected = ev.cycle;
+      continue;
+    }
+    if (ev.kind != TelemetryEvent::Kind::Deliver ||
+        ev.cat == ReplyCategory::ScroungeHop)
+      continue;
+    const auto it = flights.find(ev.msg);
+    if (it == flights.end()) continue;
+    RC_ASSERT(ev.mtype >= 0,
+              "FlightRecorder needs a stream with message types "
+              "(Telemetry::enable_msg_types)");
+    records_.push_back({ev.msg, static_cast<MsgType>(ev.mtype),
+                        it->second.src, ev.node, ev.created,
+                        it->second.injected, ev.cycle, ev.on_circuit,
+                        ev.cat == ReplyCategory::Scrounged, ev.ack_elided});
+    flights.erase(it);
+  }
+  if (records_.size() > max_records)
+    records_.erase(records_.begin(),
+                   records_.end() - static_cast<std::ptrdiff_t>(max_records));
 }
 
 std::string FlightRecorder::to_json() const {
@@ -46,13 +72,8 @@ std::string FlightRecorder::to_json() const {
   return os.str();
 }
 
-bool FlightRecorder::write(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  std::string json = to_json();
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  return true;
+bool FlightRecorder::write(const std::string& path, std::string* err) const {
+  return write_file_atomic(path, to_json(), err);
 }
 
 }  // namespace rc

@@ -1,14 +1,24 @@
-// Flight recorder: captures every network message's lifetime and exports a
-// Chrome trace-event JSON (load it in chrome://tracing or Perfetto). One
-// track (tid) per source node, one process (pid) per virtual network, so
+// Flight recorder: exports every network message's lifetime as Chrome
+// trace-event JSON (load it in chrome://tracing or Perfetto). One track
+// (tid) per source node, one process (pid) per virtual network, so
 // request/reply flows line up visually; circuit rides are tagged.
+//
+// It has no hook of its own: it reads a Telemetry event stream
+// (sim/telemetry.hpp), pairing each Deliver with the Inject(s) of the same
+// message. Telemetry drains its per-node buffers in node order, so the
+// export is byte-identical at every shard count and in every tick mode.
+// Only messages that crossed the fabric appear: same-tile messages never
+// reach an observer, and a scrounger's intermediate hop is folded into its
+// final delivery. A delivery injected before the stream began (a resumed
+// run) has no source to draw and is skipped.
 #pragma once
 
-#include <deque>
+#include <cstddef>
 #include <string>
+#include <vector>
 
 #include "noc/message.hpp"
-#include "sim/system.hpp"
+#include "sim/telemetry.hpp"
 
 namespace rc {
 
@@ -22,24 +32,24 @@ class FlightRecorder {
     bool on_circuit, scrounged, ack_elided;
   };
 
-  /// Attaches to the System's delivery observer; recording starts at once.
-  /// `max_events` bounds memory on long runs: like a hardware flight
-  /// recorder, the buffer is a ring — once full, the oldest event is
-  /// evicted for each new one, so the trace always ends at the crash.
-  /// `max_events == 0` disables recording entirely.
-  explicit FlightRecorder(System* sys, std::size_t max_events = 200'000);
+  /// Collect the message records of `events`, in delivery order. The
+  /// stream must tag Inject/Deliver events with their MsgType
+  /// (Telemetry::enable_msg_types). Like a hardware flight recorder only
+  /// the newest `max_records` are kept, so the trace always ends at the end
+  /// of the run; `max_records == 0` keeps none.
+  explicit FlightRecorder(const std::vector<TelemetryEvent>& events,
+                          std::size_t max_records = 200'000);
 
-  std::size_t events() const { return records_.size(); }
-  const std::deque<Record>& records() const { return records_; }
+  const std::vector<Record>& records() const { return records_; }
 
   /// Serialize as Chrome trace-event JSON.
   std::string to_json() const;
-  /// Write to a file; returns false on I/O failure.
-  bool write(const std::string& path) const;
+  /// Write to `path` atomically (common/atomic_file.hpp); returns false
+  /// with a reason in *err on I/O failure, leaving `path` untouched.
+  bool write(const std::string& path, std::string* err) const;
 
  private:
-  std::deque<Record> records_;
-  std::size_t max_events_;
+  std::vector<Record> records_;
 };
 
 }  // namespace rc

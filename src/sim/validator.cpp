@@ -383,17 +383,30 @@ void Validator::check_idle(Cycle now) const {
              std::to_string(id) + ")",
          now, &f);
   }
-  const Topology& topo = net_->topo();
-  for (NodeId n = 0; n < topo.num_nodes(); ++n) {
+  // Every circuit ends with its reply (use) or its undo, so a drained
+  // fabric holds no live entry and, in Fragmented mode, no claimed circuit
+  // VC: anything left is a leaked reservation.
+  const NocConfig& cfg = net_->config();
+  const int circuit_vcs = cfg.circuit.mode == CircuitMode::Fragmented
+                              ? cfg.circuit.num_circuit_vcs()
+                              : 0;
+  for (NodeId n = 0; n < cfg.num_nodes(); ++n) {
+    Router& r = net_->router(n);
     for (int p = 0; p < kNumDirs; ++p) {
-      const CircuitTable& t =
-          net_->router(n).circuits().table(static_cast<Port>(p));
-      for (const CircuitEntry& e : t.entries())
-        if (e.live(now) && e.bound_msg != 0)
-          fail("idle fabric but router " + std::to_string(n) + " port " +
-                   to_string(dir_of(static_cast<Port>(p))) +
-                   " holds an entry bound to msg " +
-                   std::to_string(e.bound_msg),
+      const Dir d = dir_of(static_cast<Port>(p));
+      const std::string where = "idle fabric but router " + std::to_string(n) +
+                                " port " + to_string(d);
+      for (const CircuitEntry& e : r.circuits().table(port_of(d)).entries())
+        if (e.live(now))
+          fail(where + " holds a live circuit entry (dest " +
+                   std::to_string(e.dest) + ", owner req " +
+                   std::to_string(e.owner_req) + ", bound msg " +
+                   std::to_string(e.bound_msg) + ")",
+               now);
+      for (int vc = 0; vc < circuit_vcs; ++vc)
+        if (r.output_vc(d, VNet::Reply, vc).busy)
+          fail(where + " still claims output circuit VC " +
+                   std::to_string(vc),
                now);
     }
   }

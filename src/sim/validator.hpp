@@ -63,8 +63,9 @@ class Validator final : public NocObserver {
   /// Messages injected but not yet delivered.
   std::size_t in_flight() const { return flights_.size(); }
 
-  /// End-of-run assertion for drained fabrics: nothing in flight and no
-  /// circuit entry still bound to a rider.
+  /// End-of-run assertion for drained fabrics: nothing in flight, no live
+  /// circuit entry (bound or not) and, in Fragmented mode, no output
+  /// circuit VC still claimed.
   void check_idle(Cycle now) const;
 
   /// Snapshot save/load: the in-flight table (with flight logs), stall

@@ -4,17 +4,20 @@
 # with a silent failure.
 #
 # usage: cli_contract.sh RC_SIM RC_FUZZ RC_TRACE RC_STATE RC_DSE \
-#                        BENCH_REPORT BENCH_BINARY
+#                        BENCH_REPORT BENCH_MICRO_ROUTER BENCH...
 #
 # Each tool gets an unknown flag, --help, and a non-numeric value for a
 # numeric flag (tools without numeric flags get a missing input file
-# instead); the bench binary gets a non-numeric RC_MEASURE_CYCLES.
+# instead); bench_micro_router gets an unknown flag, and every other bench
+# binary (the bench_util.hpp harnesses) a non-numeric RC_MEASURE_CYCLES.
 set -u
-if [ $# -ne 7 ]; then
-  echo "usage: $0 RC_SIM RC_FUZZ RC_TRACE RC_STATE RC_DSE BENCH_REPORT BENCH" >&2
+if [ $# -lt 8 ]; then
+  echo "usage: $0 RC_SIM RC_FUZZ RC_TRACE RC_STATE RC_DSE BENCH_REPORT" \
+       "BENCH_MICRO_ROUTER BENCH..." >&2
   exit 2
 fi
-sim=$1 fuzz=$2 trace=$3 state=$4 dse=$5 report=$6 bench=$7
+sim=$1 fuzz=$2 trace=$3 state=$4 dse=$5 report=$6 micro=$7
+shift 7
 missing=cli_contract_no_such_file
 failures=0
 
@@ -57,8 +60,11 @@ expect2 "bench-report --help"         "$report" --help
 expect2 "bench-report abc"            "$report" abc
 expect2 "bench-report --tolerance=100" \
         "$report" --compare "$missing" "$missing" --tolerance=100
-expect2 "bench RC_MEASURE_CYCLES=garbage" \
-        env RC_MEASURE_CYCLES=garbage "$bench"
+expect2 "bench_micro_router --bogus"  "$micro" --bogus
+for bench in "$@"; do
+  expect2 "$(basename "$bench") RC_MEASURE_CYCLES=garbage" \
+          env RC_MEASURE_CYCLES=garbage "$bench"
+done
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures CLI contract violation(s)"

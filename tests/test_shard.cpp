@@ -7,7 +7,8 @@
 //  * the headline guarantee: bit-identical RunResult statistics (counters,
 //    accumulators, IPC, energy) for 1 vs 2 vs 4 shards on every preset (and
 //    1 vs 2/4/8 on a 16x16 CMP), for the synthetic load-sweep driver, and
-//    for a raw fabric driven by per-node injectors in both tick modes.
+//    for a raw fabric driven by per-node injectors in both tick modes,
+//  * a byte-identical rc-sim --trace Chrome export at 1 vs 4 shards.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,6 +27,8 @@
 #include "sim/presets.hpp"
 #include "sim/synthetic.hpp"
 #include "sim/system.hpp"
+#include "sim/telemetry.hpp"
+#include "sim/trace.hpp"
 #include "sim/validator.hpp"
 
 using namespace rc;
@@ -331,6 +334,35 @@ TEST(ShardDeterminism, RawFabricBitIdentical) {
       expect_stats_equal(serial, par, what);
     }
   }
+}
+
+// rc-sim --trace under real parallelism: the Chrome export reads a
+// Telemetry stream, whose hooks stage events per node and drain them in
+// node order, so the file is byte-identical at any shard count and in
+// either tick mode (a hook that wrote shared state from the shard workers
+// would race here, and the tsan preset runs this test).
+std::string chrome_trace(int shards, TickMode mode) {
+  SystemConfig cfg = make_system_config(64, "SlackDelay1_NoAck", "fft", 1);
+  cfg.warmup_cycles = 500;
+  cfg.measure_cycles = 2'000;
+  cfg.shards = shards;
+  cfg.noc.tick = mode;
+  System sys(cfg);
+  Telemetry trace(&sys.network(), "", 0);
+  trace.enable_msg_types();
+  sys.run();
+  return FlightRecorder(trace.events()).to_json();
+}
+
+TEST(ShardDeterminism, ChromeTraceBitIdentical) {
+  const std::string serial = chrome_trace(1, TickMode::Activity);
+  ASSERT_GT(serial.size(), 10'000u);
+  for (TickMode mode : {TickMode::Activity, TickMode::Always})
+    for (int shards : {1, 4}) {
+      if (shards == 1 && mode == TickMode::Activity) continue;
+      EXPECT_TRUE(chrome_trace(shards, mode) == serial)
+          << to_string(mode) << " shards=" << shards;
+    }
 }
 
 TEST(ShardDeterminism, ShardedSystemIsResumable) {

@@ -1,5 +1,5 @@
-// Tooling tests: invariant checker, flight recorder, report tables, and
-// the remaining small public APIs (message helpers, presets).
+// Tooling tests: the Chrome flight-recorder export, report tables, and the
+// remaining small public APIs (message helpers, presets).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,10 +9,11 @@
 #include <vector>
 
 #include "noc/message.hpp"
-#include "sim/checker.hpp"
 #include "sim/experiment.hpp"
 #include "sim/presets.hpp"
 #include "sim/report.hpp"
+#include "sim/system.hpp"
+#include "sim/telemetry.hpp"
 #include "sim/trace.hpp"
 
 namespace rc {
@@ -25,129 +26,109 @@ SystemConfig small_cfg(const std::string& preset = "SlackDelay1_NoAck") {
   return cfg;
 }
 
-TEST(Checker, HealthySystemHasNoViolations) {
-  System sys(small_cfg());
-  InvariantChecker chk(&sys);
-  sys.prewarm();
-  sys.run_cycles(5'000);
-  EXPECT_TRUE(chk.check(sys.now()).empty());
-}
-
-TEST(Checker, CircuitEntriesDrainWhenIdle) {
-  // Stop the cores (core-less system), push a few transactions through,
-  // then verify no circuit entry outlives its transaction.
-  SystemConfig cfg = small_cfg("Complete_NoAck");
-  cfg.workload = "none";
+/// Event stream of one run, as rc-sim --trace collects it: a path-less
+/// Telemetry with message types, chained onto whatever is attached.
+std::vector<TelemetryEvent> traced_run(const SystemConfig& cfg) {
   System sys(cfg);
-  InvariantChecker chk(&sys);
-  for (NodeId n = 0; n < 4; ++n) {
-    bool done = false;
-    sys.l1(n).set_complete([&](Cycle) { done = true; });
-    ASSERT_TRUE(sys.l1(n).access((5 + n) * kLineBytes, false, sys.now()));
-    for (int i = 0; i < 3'000 && !done; ++i) sys.run_cycles(1);
-    ASSERT_TRUE(done);
-  }
-  sys.run_cycles(300);  // drain ACKs and tail flits
-  EXPECT_EQ(chk.live_circuit_entries(sys.now()), 0);
-  EXPECT_TRUE(chk.check(sys.now()).empty());
-}
-
-TEST(Checker, FragmentedClaimsMatchLiveEntries) {
-  // After a fragmented system drains, every claimed circuit VC must belong
-  // to a live entry (claims release with their circuits, never leak).
-  SystemConfig cfg = small_cfg("Fragmented");
-  cfg.workload = "none";
-  System sys(cfg);
-  InvariantChecker chk(&sys);
-  for (NodeId n = 0; n < 6; ++n) {
-    bool done = false;
-    sys.l1(n).set_complete([&](Cycle) { done = true; });
-    ASSERT_TRUE(sys.l1(n).access((5 + n) * kLineBytes, false, sys.now()));
-    for (int i = 0; i < 3'000 && !done; ++i) sys.run_cycles(1);
-    ASSERT_TRUE(done);
-  }
-  sys.run_cycles(400);
-  EXPECT_EQ(chk.live_circuit_entries(sys.now()), 0);
-  EXPECT_EQ(chk.claimed_circuit_vcs(), 0);
-  EXPECT_TRUE(sys.network().idle());
-}
-
-TEST(Checker, FlagsMessagesExceedingTheAgeBound) {
-  // With an absurdly tight bound, ordinary in-flight messages count as
-  // violations — exercising the reporting path end to end.
-  System sys(small_cfg());
-  InvariantChecker chk(&sys, /*max_msg_age=*/1);
-  sys.prewarm();
-  sys.run_cycles(200);
-  EXPECT_FALSE(chk.check(sys.now()).empty());
+  Telemetry tel(&sys.network(), "", 0);
+  tel.enable_msg_types();
+  sys.run();
+  return tel.events();
 }
 
 TEST(Trace, RecordsAndSerializes) {
-  SystemConfig cfg = small_cfg();
-  System sys(cfg);
-  FlightRecorder rec(&sys);
-  sys.run();
-  EXPECT_GT(rec.events(), 100u);
+  const FlightRecorder rec(traced_run(small_cfg()));
+  EXPECT_GT(rec.records().size(), 100u);
   std::string json = rec.to_json();
   EXPECT_EQ(json.front(), '[');
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"circuit\":true"), std::string::npos);
+  // Every record crossed the fabric: same-tile messages never reach it.
+  for (const auto& r : rec.records()) {
+    EXPECT_NE(r.src, r.dest) << "msg " << r.id;
+    EXPECT_LE(r.created, r.injected) << "msg " << r.id;
+    EXPECT_LT(r.injected, r.delivered) << "msg " << r.id;
+  }
 }
 
 TEST(Trace, WritesFile) {
   SystemConfig cfg = small_cfg();
   cfg.measure_cycles = 1'500;
-  System sys(cfg);
-  FlightRecorder rec(&sys);
-  sys.run();
-  const std::string path = "/tmp/rc_trace_test.json";
-  ASSERT_TRUE(rec.write(path));
+  const FlightRecorder rec(traced_run(cfg));
+  const std::string path = ::testing::TempDir() + "rc_trace_test.json";
+  std::string err;
+  ASSERT_TRUE(rec.write(path, &err)) << err;
   std::ifstream f(path);
   ASSERT_TRUE(f.good());
   std::stringstream ss;
   ss << f.rdbuf();
-  EXPECT_GT(ss.str().size(), 1000u);
+  EXPECT_EQ(ss.str(), rec.to_json());
   std::remove(path.c_str());
 }
 
-TEST(Trace, BoundsMemory) {
-  SystemConfig cfg = small_cfg();
-  System sys(cfg);
-  FlightRecorder rec(&sys, /*max_events=*/50);
-  sys.run();
-  EXPECT_EQ(rec.events(), 50u);
+TEST(Trace, WriteFailureIsReported) {
+  const FlightRecorder rec(std::vector<TelemetryEvent>{});
+  std::string err;
+  EXPECT_FALSE(rec.write("/nonexistent-dir/rc_trace_test.json", &err));
+  EXPECT_FALSE(err.empty());
 }
 
-// The bounded recorder is a ring: once full it evicts the OLDEST event per
-// new one, so a capped trace is exactly the tail of the unbounded trace
-// (the interesting part when debugging a crash at the end of a run).
-TEST(Trace, RingKeepsNewestEvents) {
-  SystemConfig cfg = small_cfg();
-  std::vector<std::uint64_t> all_ids;
-  {
-    System sys(cfg);
-    FlightRecorder full(&sys);
-    sys.run();
-    for (const auto& r : full.records()) all_ids.push_back(r.id);
-  }
-  ASSERT_GT(all_ids.size(), 80u);
+// The recorder keeps the newest records, like a hardware flight recorder:
+// a capped trace is exactly the tail of the uncapped one (the interesting
+// part when debugging a crash at the end of a run); a zero cap keeps none.
+TEST(Trace, CapKeepsNewestRecords) {
+  const std::vector<TelemetryEvent> events = traced_run(small_cfg());
+  const FlightRecorder full(events);
+  ASSERT_GT(full.records().size(), 80u);
   const std::size_t cap = 64;
-  System sys(cfg);  // identical seed: same message stream
-  FlightRecorder capped(&sys, cap);
-  sys.run();
-  ASSERT_EQ(capped.events(), cap);
-  std::vector<std::uint64_t> tail(all_ids.end() - cap, all_ids.end());
-  std::vector<std::uint64_t> kept;
+  const FlightRecorder capped(events, cap);
+  ASSERT_EQ(capped.records().size(), cap);
+  std::vector<std::uint64_t> tail, kept;
+  for (auto it = full.records().end() - cap; it != full.records().end(); ++it)
+    tail.push_back(it->id);
   for (const auto& r : capped.records()) kept.push_back(r.id);
   EXPECT_EQ(kept, tail);
+  EXPECT_TRUE(FlightRecorder(events, 0).records().empty());
 }
 
-TEST(Trace, ZeroCapDisablesRecording) {
-  SystemConfig cfg = small_cfg();
-  System sys(cfg);
-  FlightRecorder rec(&sys, /*max_events=*/0);
-  sys.run();
-  EXPECT_EQ(rec.events(), 0u);
+// Pairing rules on a hand-built stream: a scrounger keeps its first source
+// and its last injection, its intermediate hop is not a record, and a
+// delivery whose injection precedes the stream is skipped.
+TEST(Trace, PairsDeliveriesWithInjections) {
+  auto ev = [](TelemetryEvent::Kind k, Cycle c, NodeId node,
+               std::uint64_t msg) {
+    TelemetryEvent e;
+    e.kind = k;
+    e.cycle = c;
+    e.node = node;
+    e.msg = msg;
+    e.mtype = static_cast<std::int16_t>(MsgType::L2Reply);
+    return e;
+  };
+  using K = TelemetryEvent::Kind;
+  std::vector<TelemetryEvent> s;
+  s.push_back(ev(K::Inject, 10, 2, 1));
+  s.push_back(ev(K::Deliver, 15, 9, 7));  // injected before the stream
+  s.push_back(ev(K::Deliver, 20, 5, 1));
+  s.back().cat = ReplyCategory::ScroungeHop;
+  s.push_back(ev(K::Inject, 22, 5, 1));
+  s.push_back(ev(K::Deliver, 30, 7, 1));
+  s.back().cat = ReplyCategory::Scrounged;
+  s.back().created = 8;
+  s.back().ack_elided = true;
+  const FlightRecorder rec(s);
+  ASSERT_EQ(rec.records().size(), 1u);
+  const FlightRecorder::Record& r = rec.records()[0];
+  EXPECT_EQ(r.id, 1u);
+  EXPECT_EQ(r.type, MsgType::L2Reply);
+  EXPECT_EQ(r.src, 2);
+  EXPECT_EQ(r.dest, 7);
+  EXPECT_EQ(r.created, 8u);
+  EXPECT_EQ(r.injected, 22u);
+  EXPECT_EQ(r.delivered, 30u);
+  EXPECT_FALSE(r.on_circuit);
+  EXPECT_TRUE(r.scrounged);
+  EXPECT_TRUE(r.ack_elided);
 }
 
 TEST(Report, TableFormatting) {

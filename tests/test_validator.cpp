@@ -1,7 +1,8 @@
 // Tests for the RC_CHECK runtime invariant checker (sim/validator.hpp):
 // environment-gated attachment, clean runs across circuit variants,
 // passivity (observation never changes results), detection of planted
-// corruption, the hang watchdog, and strict RC_HANG_CYCLES validation.
+// corruption, the hang watchdog, the drained-fabric leak check
+// (check_idle), and strict RC_HANG_CYCLES validation.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -181,23 +182,77 @@ TEST(Validator, WatchdogFiresOnTinyWindow) {
   EXPECT_THROW(sys.run_cycles(5'000), FatalError);
 }
 
-// After a quiet fabric drains, nothing is in flight and no circuit entry is
-// still bound: check_idle passes.
-TEST(Validator, IdleFabricChecksClean) {
+// A healthy run under the checker: the watchdog bounds every message's
+// age, and the L2 banks (which the Validator cannot see) never pile up
+// more than a handful of blocked lines per node.
+TEST(Validator, HealthySystemKeepsL2BusyLinesBounded) {
+  EnvGuard on("RC_CHECK", "1");
+  EnvGuard hang("RC_HANG_CYCLES", nullptr);
+  System sys(small_cfg("SlackDelay1_NoAck"));
+  ASSERT_NE(sys.validator(), nullptr);
+  sys.prewarm();
+  EXPECT_NO_THROW(sys.run_cycles(5'000));
+  std::size_t busy = 0;
+  const int n = sys.config().noc.num_nodes();
+  for (NodeId i = 0; i < n; ++i) busy += sys.l2(i).busy_lines();
+  EXPECT_LE(busy, static_cast<std::size_t>(8 * n));
+}
+
+/// Core-less system driven by one read miss per node in `nodes`, then left
+/// to drain its ACKs and tail flits.
+void drive_and_drain(System& sys, int nodes, Cycle drain) {
+  for (NodeId n = 0; n < nodes; ++n) {
+    bool done = false;
+    sys.l1(n).set_complete([&](Cycle) { done = true; });
+    ASSERT_TRUE(sys.l1(n).access((5 + n) * kLineBytes, false, sys.now()));
+    for (int i = 0; i < 3'000 && !done; ++i) sys.run_cycles(1);
+    ASSERT_TRUE(done);
+  }
+  sys.run_cycles(drain);
+  EXPECT_TRUE(sys.network().idle());
+  EXPECT_EQ(sys.validator()->in_flight(), 0u);
+}
+
+// After a quiet fabric drains, nothing is in flight and every circuit
+// entry has ended with its use or its undo: check_idle passes.
+TEST(Validator, CircuitEntriesDrainWhenIdle) {
   EnvGuard on("RC_CHECK", "1");
   EnvGuard hang("RC_HANG_CYCLES", nullptr);
   SystemConfig cfg = small_cfg("Complete_NoAck");
   cfg.workload = "none";
   System sys(cfg);
   ASSERT_NE(sys.validator(), nullptr);
-  bool done = false;
-  sys.l1(0).set_complete([&](Cycle) { done = true; });
-  ASSERT_TRUE(sys.l1(0).access(0x5 * kLineBytes, false, sys.now()));
-  for (int i = 0; i < 4'000 && !done; ++i) sys.run_cycles(1);
-  ASSERT_TRUE(done);
-  sys.run_cycles(500);  // drain ACKs / writebacks
-  EXPECT_EQ(sys.validator()->in_flight(), 0u);
+  drive_and_drain(sys, 4, 300);
   EXPECT_NO_THROW(sys.validator()->check_idle(sys.now()));
+}
+
+// Fragmented reservations claim output circuit VCs; the claims must be
+// released with their circuits, so a drained fabric holds none.
+TEST(Validator, FragmentedClaimsMatchLiveEntries) {
+  EnvGuard on("RC_CHECK", "1");
+  EnvGuard hang("RC_HANG_CYCLES", nullptr);
+  SystemConfig cfg = small_cfg("Fragmented");
+  cfg.workload = "none";
+  System sys(cfg);
+  ASSERT_NE(sys.validator(), nullptr);
+  drive_and_drain(sys, 6, 400);
+  EXPECT_NO_THROW(sys.validator()->check_idle(sys.now()));
+}
+
+// Planted leak: an unbound entry written into a drained fabric's table is
+// a reservation nothing will ever use or undo; check_idle must catch it.
+TEST(Validator, CheckIdleCatchesLeakedEntry) {
+  EnvGuard on("RC_CHECK", "1");
+  EnvGuard hang("RC_HANG_CYCLES", nullptr);
+  SystemConfig cfg = small_cfg("Complete_NoAck");
+  cfg.workload = "none";
+  System sys(cfg);
+  ASSERT_NE(sys.validator(), nullptr);
+  drive_and_drain(sys, 1, 300);
+  ASSERT_NO_THROW(sys.validator()->check_idle(sys.now()));
+  ASSERT_TRUE(sys.network().router(5).circuits().table(0).insert(
+      bogus_entry(/*src=*/1, /*out=*/2), sys.now()));
+  EXPECT_THROW(sys.validator()->check_idle(sys.now()), FatalError);
 }
 
 // The raw-NoC synthetic driver attaches the checker too (bench_loadsweep

@@ -46,6 +46,7 @@
 #include "sim/report.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/system.hpp"
+#include "sim/telemetry.hpp"
 #include "sim/trace.hpp"
 
 using namespace rc;
@@ -159,8 +160,13 @@ RunResult run(const Options& o, const std::string& preset,
   // Tracing and snapshotting both need the System to outlive run_config's
   // all-in-one flow: step it manually, then extract the result.
   System sys(cfg);
-  std::unique_ptr<FlightRecorder> rec;
-  if (!o.trace_path.empty()) rec = std::make_unique<FlightRecorder>(&sys);
+  // --trace: a dedicated, path-less Telemetry chained onto whatever
+  // observers the environment attached; its stream feeds the Chrome export.
+  std::unique_ptr<Telemetry> trace;
+  if (!o.trace_path.empty()) {
+    trace = std::make_unique<Telemetry>(&sys.network(), "", 0);
+    trace->enable_msg_types();
+  }
 
   if (!o.load_state.empty()) {
     std::string serr;
@@ -234,14 +240,17 @@ RunResult run(const Options& o, const std::string& preset,
   }
   to(end);
 
-  if (rec) {
-    if (!rec->write(o.trace_path)) {
-      std::fprintf(stderr, "cannot write trace to %s\n", o.trace_path.c_str());
+  if (trace) {
+    const FlightRecorder rec(trace->events());
+    std::string terr;
+    if (!rec.write(o.trace_path, &terr)) {
+      std::fprintf(stderr, "cannot write trace to %s: %s\n",
+                   o.trace_path.c_str(), terr.c_str());
       std::exit(2);
     }
     std::fprintf(stderr, "[rc-sim] wrote %zu trace events to %s "
                  "(open in chrome://tracing)\n",
-                 rec->events(), o.trace_path.c_str());
+                 rec.records().size(), o.trace_path.c_str());
   }
   if (o.heatmap) print_heatmap(sys);
   return extract_result(sys, preset);
