@@ -10,15 +10,24 @@
 
 namespace rc {
 
-/// `Meta` is the per-line coherence payload (POD with a default state).
+/// Tag of an invalid way. Tags are line addresses (multiples of kLineBytes),
+/// so the all-ones address can never be one: folding the valid bit into the
+/// tag saves a padded bool per line.
+inline constexpr Addr kNoLine = ~Addr{0};
+static_assert(kNoLine % kLineBytes != 0,
+              "kNoLine must never equal a line address");
+
+/// `Meta` is the per-line coherence payload (default-constructible state).
 template <typename Meta>
 class CacheArray {
  public:
   struct Line {
-    bool valid = false;
-    Addr tag = 0;  ///< full line address (simpler than split tag/index)
+    Addr tag = kNoLine;  ///< full line address (simpler than split tag/index)
     Cycle last_used = 0;
     Meta meta{};
+    bool valid() const { return tag != kNoLine; }
+    /// Free the way; last_used and meta go stale until the next install.
+    void invalidate() { tag = kNoLine; }
   };
 
   /// `index_stride` strips interleaving bits below the set index: a private
@@ -47,7 +56,7 @@ class CacheArray {
     int s = set_of(la);
     for (int w = 0; w < ways_; ++w) {
       Line& l = lines_[static_cast<std::size_t>(s) * ways_ + w];
-      if (l.valid && l.tag == la) return &l;
+      if (l.tag == la) return &l;
     }
     return nullptr;
   }
@@ -61,7 +70,7 @@ class CacheArray {
     Line* free = nullptr;
     for (int w = 0; w < ways_; ++w) {
       Line& l = lines_[static_cast<std::size_t>(s) * ways_ + w];
-      if (!l.valid) {
+      if (!l.valid()) {
         if (!free) free = &l;
       } else if (l.tag == la) {
         *hit = true;
@@ -80,7 +89,7 @@ class CacheArray {
     int s = set_of(line_addr(addr));
     for (int w = 0; w < ways_; ++w) {
       Line& l = lines_[static_cast<std::size_t>(s) * ways_ + w];
-      if (!l.valid) return &l;
+      if (!l.valid()) return &l;
     }
     return nullptr;
   }
@@ -93,7 +102,7 @@ class CacheArray {
     Line* best = nullptr;
     for (int w = 0; w < ways_; ++w) {
       Line& l = lines_[static_cast<std::size_t>(s) * ways_ + w];
-      if (!l.valid || !evictable(l)) continue;
+      if (!l.valid() || !evictable(l)) continue;
       if (!best || l.last_used < best->last_used) best = &l;
     }
     return best;
@@ -109,7 +118,6 @@ class CacheArray {
   /// Install `addr` in `way`, a free way of addr's set the caller already
   /// found (find_or_free), without scanning the set again.
   Line* install_at(Line& way, Addr addr, Cycle now) {
-    way.valid = true;
     way.tag = line_addr(addr);
     way.last_used = now;
     way.meta = Meta{};

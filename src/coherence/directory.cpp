@@ -36,8 +36,9 @@ void Directory::save(StateWriter& w) const {
   const auto& lines = array_.lines();
   w.u64(lines.size());
   for (const auto& l : lines) {
-    w.b(l.valid);
-    w.u64(l.tag);
+    // An invalid way saves tag 0; load() gives it the kNoLine sentinel.
+    w.b(l.valid());
+    w.u64(l.valid() ? l.tag : 0);
     w.u64(l.last_used);
     w.i64(l.meta.owner);
     const auto words = l.meta.sharers.words();
@@ -54,11 +55,16 @@ bool Directory::load(StateReader& r) {
     return r.fail("directory has " + std::to_string(lines.size()) +
                   " entries, snapshot has " + std::to_string(n));
   for (auto& l : lines) {
+    bool valid;
     std::int64_t owner;
     std::uint64_t nw;
-    if (!(r.b(&l.valid) && r.u64(&l.tag) && r.u64(&l.last_used) &&
+    if (!(r.b(&valid) && r.u64(&l.tag) && r.u64(&l.last_used) &&
           r.i64(&owner) && r.u64(&nw)))
       return false;
+    if (!valid)
+      l.invalidate();
+    else if (l.tag != line_addr(l.tag))
+      return r.fail("directory entry tag is not a line address");
     l.meta.owner = static_cast<NodeId>(owner);
     std::vector<std::uint64_t> words(nw);
     for (std::uint64_t& x : words)

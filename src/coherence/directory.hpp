@@ -41,8 +41,8 @@ class StateReader;
 class Directory {
  public:
   struct Entry {
-    NodeId owner = kInvalidNode;  ///< M-state holder (at most one)
     SharerSet sharers;            ///< S-state holders, <= pointer_limit()
+    NodeId owner = kInvalidNode;  ///< M-state holder (at most one)
   };
   using Line = CacheArray<Entry>::Line;
 
@@ -54,7 +54,7 @@ class Directory {
 
   Line* find(Addr addr) { return array_.find(addr); }
   void touch(Line& l, Cycle now) { array_.touch(l, now); }
-  void release(Line& l) { l.valid = false; }
+  void release(Line& l) { l.invalidate(); }
 
   /// True when nothing is tracked (the entry can be reclaimed silently).
   bool empty(const Line& l) const {

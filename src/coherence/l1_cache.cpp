@@ -10,6 +10,8 @@ namespace rc {
 L1Cache::L1Cache(NodeId node, const CacheConfig& cfg, Network* net,
                  const AddressMap* amap, StatSet* stats)
     : node_(node), cfg_(cfg), net_(net), amap_(amap), stats_(stats),
+      read_hit_(stats, "l1_read_hit"), write_hit_(stats, "l1_write_hit"),
+      read_miss_(stats, "l1_read_miss"), write_miss_(stats, "l1_write_miss"),
       array_(cfg.l1_sets, cfg.l1_ways) {}
 
 MsgPtr L1Cache::make(MsgType t, NodeId dest, Addr addr, int flits) const {
@@ -39,13 +41,13 @@ bool L1Cache::access(Addr addr, bool is_write, Cycle now) {
   if (line && (!is_write || line->meta.st == L1State::E ||
                line->meta.st == L1State::M)) {
     if (is_write) line->meta.st = L1State::M;  // silent E->M upgrade
-    ++stats_->counter(is_write ? "l1_write_hit" : "l1_read_hit");
+    ++(is_write ? write_hit_ : read_hit_);
     hit_done_ = now + cfg_.l1_hit_latency;
     wake(hit_done_);
     return true;
   }
   // Miss (or S-state write upgrade).
-  ++stats_->counter(is_write ? "l1_write_miss" : "l1_read_miss");
+  ++(is_write ? write_miss_ : read_miss_);
   mshr_ = Mshr{true, addr, is_write, now};
   auto req = make(is_write ? MsgType::GetX : MsgType::GetS,
                   amap_->home_l2(addr), addr, 1);
@@ -65,7 +67,7 @@ void L1Cache::evict_for(Addr addr, Cycle now) {
   } else {
     ++stats_->counter("l1_silent_evicts");
   }
-  v->valid = false;
+  v->invalidate();
 }
 
 void L1Cache::fill(Addr addr, bool exclusive, Cycle now) {
@@ -105,7 +107,7 @@ void L1Cache::handle(const MsgPtr& msg, Cycle now) {
         if (msg->downgrade)
           line->meta.st = L1State::S;  // recall-for-read keeps the copy
         else
-          line->valid = false;
+          line->invalidate();
       }
       auto ack = make(MsgType::L1InvAck, msg->src, msg->addr, 1);
       send_later(std::move(ack), now + cfg_.l1_hit_latency);
@@ -122,7 +124,7 @@ void L1Cache::handle(const MsgPtr& msg, Cycle now) {
       break;
     }
     case MsgType::FwdGetX: {
-      if (auto* line = array_.find(msg->addr)) line->valid = false;
+      if (auto* line = array_.find(msg->addr)) line->invalidate();
       auto d = make(MsgType::L1ToL1, msg->fwd_requestor, msg->addr, 5);
       d->undone_marker = msg->undone_marker;
       send_later(std::move(d), now + cfg_.l1_hit_latency);
@@ -165,8 +167,9 @@ void L1Cache::save(StateWriter& w) const {
   const auto& lines = array_.lines();
   w.u64(lines.size());
   for (const auto& l : lines) {
-    w.b(l.valid);
-    w.u64(l.tag);
+    // An invalid way saves tag 0; load() gives it the kNoLine sentinel.
+    w.b(l.valid());
+    w.u64(l.valid() ? l.tag : 0);
     w.u64(l.last_used);
     w.u8(static_cast<std::uint8_t>(l.meta.st));
   }
@@ -191,9 +194,14 @@ bool L1Cache::load(StateReader& r) {
     return r.fail("L1 has " + std::to_string(lines.size()) +
                   " lines, snapshot has " + std::to_string(n));
   for (auto& l : lines) {
+    bool valid;
     std::uint8_t st;
-    if (!(r.b(&l.valid) && r.u64(&l.tag) && r.u64(&l.last_used) && r.u8(&st)))
+    if (!(r.b(&valid) && r.u64(&l.tag) && r.u64(&l.last_used) && r.u8(&st)))
       return false;
+    if (!valid)
+      l.invalidate();
+    else if (l.tag != line_addr(l.tag))
+      return r.fail("L1 line tag is not a line address");
     if (st > static_cast<std::uint8_t>(L1State::M))
       return r.fail("L1 line state out of range");
     l.meta.st = static_cast<L1State>(st);

@@ -61,6 +61,12 @@ class L1Cache : public Ticker {
   struct LineMeta {
     L1State st = L1State::I;
   };
+
+ public:
+  /// Public for the host-layout tests (tests/test_cache_array.cpp).
+  using Line = CacheArray<LineMeta>::Line;
+
+ private:
   struct Mshr {
     bool active = false;
     Addr addr = 0;
@@ -79,6 +85,10 @@ class L1Cache : public Ticker {
   const AddressMap* amap_;
   StatSet* stats_;
   std::function<void(Cycle)> complete_;
+
+  // Per-access counters, resolved once instead of a string-keyed lookup on
+  // every access; lazily, so a counter that never fires stays unreported.
+  LazyCounter read_hit_, write_hit_, read_miss_, write_miss_;
 
   CacheArray<LineMeta> array_;
   Mshr mshr_;

@@ -12,7 +12,8 @@ L2Bank::L2Bank(NodeId node, const CacheConfig& cfg, const CircuitConfig& circ,
                Network* net, const AddressMap* amap, StatSet* stats,
                Protocol protocol)
     : node_(node), cfg_(cfg), circ_(circ), proto_(protocol), net_(net),
-      amap_(amap), stats_(stats),
+      amap_(amap), stats_(stats), hits_(stats, "l2_hits"),
+      misses_(stats, "l2_misses"), invs_sent_(stats, "l2_invs_sent"),
       array_(cfg.l2_sets, cfg.l2_ways, net->topo().num_nodes()) {
   if (proto_ == Protocol::SparseMSI)
     dir_ = std::make_unique<Directory>(cfg, net->topo().num_nodes());
@@ -165,7 +166,7 @@ void L2Bank::handle(const MsgPtr& msg, Cycle now) {
         RC_ASSERT(line != nullptr, "evicting a missing line");
         if (line->meta.dirty)
           send_later(make(MsgType::MemWb, amap_->mem_ctrl(addr), addr, 5), now);
-        line->valid = false;
+        line->invalidate();
         ++stats_->counter("l2_evictions");
         if (proto_ == Protocol::SparseMSI)
           if (auto* d = dir_->find(addr)) dir_->release(*d);
@@ -215,7 +216,7 @@ void L2Bank::process_cpu_req(const MsgPtr& msg, Cycle now) {
     start_miss(msg, now);
     return;
   }
-  ++stats_->counter("l2_hits");
+  ++hits_;
   array_.touch(*line, now);
   const NodeId req = msg->src;
   LineMeta& m = line->meta;
@@ -304,7 +305,7 @@ void L2Bank::process_cpu_req_sparse(const MsgPtr& msg, Cycle now) {
     start_miss(msg, now);
     return;
   }
-  ++stats_->counter("l2_hits");
+  ++hits_;
   array_.touch(*line, now);
   const NodeId req = msg->src;
 
@@ -326,7 +327,7 @@ void L2Bank::process_cpu_req_sparse(const MsgPtr& msg, Cycle now) {
       if (dir_->pointer_limit() < 2) {
         send_later(make(MsgType::Inv, m.owner, msg->addr, 1),
                    now + cfg_.l2_hit_latency);
-        ++stats_->counter("l2_invs_sent");
+        ++invs_sent_;
         m.sharers.clear();
         m.owner = kInvalidNode;
         line->meta.dirty = true;
@@ -336,7 +337,7 @@ void L2Bank::process_cpu_req_sparse(const MsgPtr& msg, Cycle now) {
         auto rec = make(MsgType::Inv, m.owner, msg->addr, 1);
         rec->downgrade = true;
         send_later(std::move(rec), now + cfg_.l2_hit_latency);
-        ++stats_->counter("l2_invs_sent");
+        ++invs_sent_;
         m.sharers.assign_only(m.owner);
         m.owner = kInvalidNode;
         line->meta.dirty = true;
@@ -367,7 +368,7 @@ void L2Bank::process_cpu_req_sparse(const MsgPtr& msg, Cycle now) {
       m.sharers.remove(victim);
       send_later(make(MsgType::Inv, victim, msg->addr, 1),
                  now + cfg_.l2_hit_latency);
-      ++stats_->counter("l2_invs_sent");
+      ++invs_sent_;
       txns_[msg->addr] = Txn{TxnState::WaitPtrRoom, msg, 1, 0, {}};
       ++stats_->counter("l2_ptr_recalls");
       return;
@@ -394,7 +395,7 @@ void L2Bank::process_cpu_req_sparse(const MsgPtr& msg, Cycle now) {
     } else {
       send_later(make(MsgType::Inv, m.owner, msg->addr, 1),
                  now + cfg_.l2_hit_latency);
-      ++stats_->counter("l2_invs_sent");
+      ++invs_sent_;
       m.owner = kInvalidNode;
       m.sharers.clear();
       line->meta.dirty = true;
@@ -459,7 +460,7 @@ int L2Bank::send_dir_invalidations(const Directory::Line& entry, NodeId except,
                now + cfg_.l2_hit_latency);
     ++n;
   }
-  stats_->counter("l2_invs_sent") += static_cast<std::uint64_t>(n);
+  invs_sent_ += static_cast<std::uint64_t>(n);
   return n;
 }
 
@@ -475,7 +476,7 @@ int L2Bank::send_invalidations(const Line& line, NodeId except, Cycle now) {
                now + cfg_.l2_hit_latency);
     ++n;
   }
-  stats_->counter("l2_invs_sent") += static_cast<std::uint64_t>(n);
+  invs_sent_ += static_cast<std::uint64_t>(n);
   return n;
 }
 
@@ -486,7 +487,7 @@ void L2Bank::send_data_reply(const MsgPtr& req, bool exclusive, Cycle now) {
 }
 
 void L2Bank::start_miss(const MsgPtr& msg, Cycle now) {
-  ++stats_->counter("l2_misses");
+  ++misses_;
   if (circ_.undo_on_l2_miss)
     try_undo_circuit(msg, now, /*expect_reply=*/true);
   auto* line = array_.find(msg->addr);
@@ -532,7 +533,7 @@ void L2Bank::start_miss(const MsgPtr& msg, Cycle now) {
     send_later(make(MsgType::MemWb, amap_->mem_ctrl(victim->tag),
                     victim->tag, 5),
                now + cfg_.l2_hit_latency);
-  victim->valid = false;
+  victim->invalidate();
   ++stats_->counter("l2_evictions");
   proceed_miss(msg->addr, msg, now);
 }
@@ -623,12 +624,12 @@ void L2Bank::save(StateWriter& w) const {
   w.u64(lines.size());
   std::uint64_t nvalid = 0;
   for (const auto& l : lines)
-    if (l.valid) ++nvalid;
+    if (l.valid()) ++nvalid;
   w.vu64(nvalid);
   std::uint64_t prev = 0;
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const auto& l = lines[i];
-    if (!l.valid) continue;
+    if (!l.valid()) continue;
     w.vu64(i - prev);  // gap from the previous valid index (first: from 0)
     prev = i;
     w.vu64(l.tag / kLineBytes);
@@ -690,7 +691,6 @@ bool L2Bank::load(StateReader& r) {
     if (idx >= lines.size()) return r.fail("L2 line index out of range");
     if (flags > 3) return r.fail("L2 line flags out of range");
     Line& l = lines[idx];
-    l.valid = true;
     l.tag = tagline * kLineBytes;
     l.last_used = last_used;
     l.meta.dirty = (flags & 1) != 0;

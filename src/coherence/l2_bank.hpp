@@ -68,11 +68,13 @@ class L2Bank : public Ticker {
   bool load(StateReader& r);
 
  private:
+  // Widest field first so the line packs into 40 bytes (tag, last_used,
+  // then 16 + 4 + 1 + 1 bytes of payload).
   struct LineMeta {
+    SharerSet sharers;
+    NodeId owner = kInvalidNode;
     bool dirty = false;
     bool fetching = false;  ///< MemRead outstanding, data not yet here
-    NodeId owner = kInvalidNode;
-    SharerSet sharers;
   };
   enum class TxnState : std::uint8_t {
     WaitDataAck,  ///< reply sent, line blocked until L1DataAck (or elision)
@@ -91,7 +93,12 @@ class L2Bank : public Ticker {
     Addr parent = 0;      ///< EvictInv: miss address waiting on us
     std::deque<MsgPtr> waiting;  ///< requests queued behind the blocked line
   };
+
+ public:
+  /// Public for the host-layout tests (tests/test_cache_array.cpp).
   using Line = CacheArray<LineMeta>::Line;
+
+ private:
 
   void process_cpu_req(const MsgPtr& msg, Cycle now);
   void process_cpu_req_sparse(const MsgPtr& msg, Cycle now);
@@ -118,6 +125,8 @@ class L2Bank : public Ticker {
   Network* net_;
   const AddressMap* amap_;
   StatSet* stats_;
+  // Per-request counters, resolved once (lazily: unfired stays unreported).
+  LazyCounter hits_, misses_, invs_sent_;
 
   CacheArray<LineMeta> array_;
   std::unique_ptr<Directory> dir_;  ///< SparseMSI only; null for full-map

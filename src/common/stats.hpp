@@ -131,12 +131,15 @@ class LazyCounter {
   LazyCounter() = default;
   LazyCounter(StatSet* stats, const char* name)
       : stats_(stats), name_(name) {}
-  void operator++() {
+  void operator++() { *this += 1; }
+  /// Adds `n`; like `stats->counter(name) += n`, adding 0 still
+  /// materializes the counter.
+  void operator+=(std::uint64_t n) {
     if (!p_) {
       if (!stats_) return;
       p_ = &stats_->counter(name_);
     }
-    ++*p_;
+    *p_ += n;
   }
 
  private:

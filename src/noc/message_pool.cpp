@@ -90,7 +90,7 @@ bool MessagePool::load(StateReader& r) {
   if (nb != buckets_.size())
     return r.fail("pool has " + std::to_string(buckets_.size()) +
                   " buckets, snapshot has " + std::to_string(nb));
-  for (auto& b : buckets_) {
+  for (std::uint64_t k = 0; k < nb; ++k) {  // pin() picks each bucket
     std::uint64_t n;
     if (!r.u64(&n)) return false;
     for (std::uint64_t i = 0; i < n; ++i) {

@@ -126,6 +126,10 @@ class Telemetry final : public NocObserver {
   /// Fabric configuration of the observed network (trace-header labels).
   const NocConfig& noc_config() const;
   const std::vector<TelemetryEvent>& events() const { return events_; }
+  /// Drop the events accumulated so far, for a consumer that reads
+  /// events() between run_cycles blocks (rc-sim --trace) and keeps memory
+  /// bounded. write() and save() then lack them.
+  void discard_events() { events_.clear(); }
   const std::vector<TelemetrySample>& samples() const { return samples_; }
 
   /// Snapshot save/load: the accumulated event stream, the sampled series

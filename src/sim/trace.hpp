@@ -11,10 +11,17 @@
 // reach an observer, and a scrounger's intermediate hop is folded into its
 // final delivery. A delivery injected before the stream began (a resumed
 // run) has no source to draw and is skipped.
+//
+// The stream can be fed in pieces (consume() between run_cycles blocks),
+// after which the producer may drop what was read: the recorder keeps only
+// the injections still in flight and its ring of newest records, so a
+// long traced run holds a bounded amount of memory.
 #pragma once
 
 #include <cstddef>
+#include <deque>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "noc/message.hpp"
@@ -26,30 +33,52 @@ class FlightRecorder {
  public:
   struct Record {
     std::uint64_t id;
-    MsgType type;
-    NodeId src, dest;
     Cycle created, injected, delivered;
+    NodeId src, dest;
+    MsgType type;
     bool on_circuit, scrounged, ack_elided;
   };
 
-  /// Collect the message records of `events`, in delivery order. The
-  /// stream must tag Inject/Deliver events with their MsgType
-  /// (Telemetry::enable_msg_types). Like a hardware flight recorder only
-  /// the newest `max_records` are kept, so the trace always ends at the end
-  /// of the run; `max_records == 0` keeps none.
+  /// Like a hardware flight recorder only the newest `max_records` are
+  /// kept, so the trace always ends at the end of the run;
+  /// `max_records == 0` keeps none.
+  explicit FlightRecorder(std::size_t max_records = 200'000)
+      : max_records_(max_records) {}
+  /// A recorder that has consumed all of `events`.
   explicit FlightRecorder(const std::vector<TelemetryEvent>& events,
-                          std::size_t max_records = 200'000);
+                          std::size_t max_records = 200'000)
+      : FlightRecorder(max_records) {
+    consume(events);
+  }
 
-  const std::vector<Record>& records() const { return records_; }
+  /// Collect the message records of the next piece of the stream, in
+  /// delivery order. The stream must tag Inject/Deliver events with their
+  /// MsgType (Telemetry::enable_msg_types). Pieces must arrive in stream
+  /// order; consuming the stream piecewise records exactly what consuming
+  /// it whole would.
+  void consume(const std::vector<TelemetryEvent>& events);
+
+  const std::deque<Record>& records() const { return records_; }
 
   /// Serialize as Chrome trace-event JSON.
   std::string to_json() const;
-  /// Write to `path` atomically (common/atomic_file.hpp); returns false
-  /// with a reason in *err on I/O failure, leaving `path` untouched.
+  /// Write to `path` atomically (common/atomic_file.hpp), one record at a
+  /// time; returns false with a reason in *err on I/O failure, leaving
+  /// `path` untouched.
   bool write(const std::string& path, std::string* err) const;
 
  private:
-  std::vector<Record> records_;
+  /// Source node (first injection) and latest injection cycle of a message
+  /// still in flight; a scrounger is re-injected at its intermediate hop,
+  /// so its network slice starts at the onward leg.
+  struct Flight {
+    NodeId src;
+    Cycle injected;
+  };
+
+  std::size_t max_records_;
+  std::unordered_map<std::uint64_t, Flight> flights_;
+  std::deque<Record> records_;
 };
 
 }  // namespace rc

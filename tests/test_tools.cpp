@@ -2,6 +2,7 @@
 // remaining small public APIs (message helpers, presets).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdint>
 #include <fstream>
@@ -89,6 +90,25 @@ TEST(Trace, CapKeepsNewestRecords) {
   for (const auto& r : capped.records()) kept.push_back(r.id);
   EXPECT_EQ(kept, tail);
   EXPECT_TRUE(FlightRecorder(events, 0).records().empty());
+}
+
+// rc-sim --trace feeds the stream in chunks and drops each chunk after
+// consuming it: the in-flight pairings carry across chunk boundaries, so
+// the records (capped or not) are exactly those of the whole stream.
+TEST(Trace, PiecewiseConsumeMatchesWhole) {
+  const std::vector<TelemetryEvent> events = traced_run(small_cfg());
+  for (std::size_t cap : {std::size_t{200'000}, std::size_t{50}}) {
+    const FlightRecorder whole(events, cap);
+    FlightRecorder pieces(cap);
+    for (std::size_t i = 0; i < events.size(); i += 97) {
+      const std::size_t end = std::min(events.size(), i + 97);
+      pieces.consume(std::vector<TelemetryEvent>(
+          events.begin() + static_cast<std::ptrdiff_t>(i),
+          events.begin() + static_cast<std::ptrdiff_t>(end)));
+    }
+    EXPECT_EQ(pieces.records().size(), whole.records().size()) << cap;
+    EXPECT_EQ(pieces.to_json(), whole.to_json()) << cap;
+  }
 }
 
 // Pairing rules on a hand-built stream: a scrounger keeps its first source
