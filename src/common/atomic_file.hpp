@@ -1,9 +1,9 @@
 // Durable file output: write-temp-then-rename with checked I/O.
 //
-// Every sweep artifact (telemetry traces, bench-report JSON, rc-dse
-// journal/manifest/aggregates) used to be fopen("w")'d in place with
-// unchecked fprintf/fclose: a crash or full disk mid-write left a
-// truncated file that a later reader parsed as corrupt data. The helpers
+// Every sweep artifact (telemetry traces, rc-dse journal/manifest/
+// aggregates) used to be fopen("w")'d in place with unchecked
+// fprintf/fclose: a crash or full disk mid-write left a truncated file
+// that a later reader parsed as corrupt data. The helpers
 // here write to `<path>.tmp.<pid>`, flush + fsync, close with the return
 // value checked, and only then rename(2) over the target — so readers
 // observe either the old complete file or the new complete file, never a

@@ -32,7 +32,6 @@ void NetworkInterface::wire(Pipe<Flit>* inject, Pipe<Credit>* inject_credits,
 
 void NetworkInterface::send(const MsgPtr& msg, Cycle now) {
   msg->created = now;
-  msg->ni_memo_gen = 0;  // any earlier injection-scan memo is stale
   VNet vn = vnet_of(msg->type);
   if (vn == VNet::Request) {
     msg->path_hops = topo_->hops(id_, msg->dest);
@@ -64,7 +63,6 @@ bool NetworkInterface::undo_circuit(NodeId dest, Addr addr, Cycle now,
   Origin& o = it->second;
   bool was_built = o.status == OriginStatus::Built && !o.undo_deferred();
   if (!was_built) return false;
-  ++origins_gen_;
   if (o.riders > 0) {
     // A scrounger is still injecting: defer the tear-down until its tail
     // flit is in the network (it then stays ahead of the undo for good).
@@ -148,7 +146,7 @@ bool NetworkInterface::try_start_packet(VNet vn, Cycle now) {
     if (q.empty()) return false;
     int vc = 0;
     bool on_circuit = false;
-    if (!prepare_injection(q.front().msg, now, &vc, &on_circuit))
+    if (!prepare_injection(q.front(), now, &vc, &on_circuit))
       return false;
     Stream& s = stream_[static_cast<int>(vn)];
     s.msg = q.front().msg;
@@ -239,25 +237,13 @@ bool NetworkInterface::try_start_packet(VNet vn, Cycle now) {
     }
     int vc = 0;
     bool on_circuit = false;
-    if (!prepare_injection(e.msg, now, &vc, &on_circuit)) {
-      // ni_memo_gen == origins_gen_ iff one of the two memoizing fail
-      // sites executed during *this* probe (each stamps the current gen,
-      // and nothing bumps the gen after stamping).
-      if (e.msg->ni_memo_gen == origins_gen_) {
-        if (e.msg->ni_hold_until != 0) {
-          e.kind = kMemoHeld;
-          sum_hold = std::min(sum_hold, e.msg->ni_hold_until);
-        } else {
-          e.kind = kMemoVcBlocked;
-          sum_vcb = true;
-        }
-        e.hold = e.msg->ni_hold_until;
-        e.okey = last_probe_okey_;
-        e.over = e.okey != nullptr ? e.okey->ver : 0;
-      } else {
-        e.kind = kMemoNone;
+    if (!prepare_injection(e, now, &vc, &on_circuit)) {
+      if (e.kind == kMemoHeld)
+        sum_hold = std::min(sum_hold, e.hold);
+      else if (e.kind == kMemoVcBlocked)
+        sum_vcb = true;
+      else
         sum_none = true;
-      }
       continue;
     }
     Stream& s = stream_[static_cast<int>(vn)];
@@ -277,26 +263,26 @@ bool NetworkInterface::try_start_packet(VNet vn, Cycle now) {
   return false;
 }
 
-bool NetworkInterface::prepare_injection(const MsgPtr& msg, Cycle now,
-                                         int* vc, bool* on_circuit) {
+bool NetworkInterface::prepare_injection(QEntry& e, Cycle now, int* vc,
+                                         bool* on_circuit) {
+  const MsgPtr& msg = e.msg;
   *on_circuit = false;
   if (!msg->is_reply()) return pick_free_vc(VNet::Request, false, vc);
 
   // Reply path: consult the circuit origin table.
   bool wants_circuit = false;
-  last_probe_okey_ = nullptr;
+  e.kind = kMemoNone;
+  e.okey = nullptr;
   if (cfg_.circuit.uses_circuits() && reply_circuit_eligible(msg->type)) {
     auto it = origins_.find({msg->dest, msg->addr});
     if (it == origins_.end()) {
       // Versioned absence: record a tombstone so a failure memo can depend
       // on "no origin for this key" and stay valid until the key changes.
-      // Semantically nothing changed (absent before and after), so
-      // origins_gen_ is not bumped.
       it = origins_.try_emplace(std::make_pair(msg->dest, msg->addr)).first;
       it->second.present = false;
       origin_mut(it->second);
     }
-    last_probe_okey_ = &it->second;
+    e.okey = &it->second;
     if (it->second.present) {
       Origin& o = it->second;
       switch (o.status) {
@@ -307,11 +293,12 @@ bool NetworkInterface::prepare_injection(const MsgPtr& msg, Cycle now,
             break;
           }
           if (now < o.depart_min) {
-            // Hold for the slot (§4.7). Until the table changes, retrying
+            // Hold for the slot (§4.7). Until this key changes, retrying
             // before depart_min reproduces this exact outcome — memoize so
             // the queue scan can skip the held reply.
-            msg->ni_memo_gen = origins_gen_;
-            msg->ni_hold_until = o.depart_min;
+            e.kind = kMemoHeld;
+            e.hold = o.depart_min;
+            e.over = o.ver;
             return false;
           }
           if (now > o.depart_max) {
@@ -326,12 +313,10 @@ bool NetworkInterface::prepare_injection(const MsgPtr& msg, Cycle now,
           break;
         case OriginStatus::Failed:
           msg->outcome = CircuitOutcome::Failed;
-          ++origins_gen_;
           origin_tomb(o);
           break;
         case OriginStatus::Undone:
           msg->outcome = CircuitOutcome::Undone;
-          ++origins_gen_;
           origin_tomb(o);
           break;
       }
@@ -364,7 +349,6 @@ bool NetworkInterface::prepare_injection(const MsgPtr& msg, Cycle now,
       }
     }
     if (best_key && pick_free_vc(VNet::Reply, true, vc)) {
-      ++origins_gen_;
       Origin& ride = origins_.find(*best_key)->second;
       ++ride.riders;
       origin_mut(ride);
@@ -383,11 +367,11 @@ bool NetworkInterface::prepare_injection(const MsgPtr& msg, Cycle now,
 
   if (!pick_free_vc(VNet::Reply, false, vc)) {
     // Blocked on a free non-circuit reply VC. The path to this point is
-    // free of (non-idempotent) side effects, so while the origin table is
-    // unchanged and no such VC frees up, retrying reproduces this failure
-    // — memoize (ni_hold_until 0 marks the VC-blocked flavour).
-    msg->ni_memo_gen = origins_gen_;
-    msg->ni_hold_until = 0;
+    // free of (non-idempotent) side effects, so while the probed key is
+    // unchanged and no such VC frees up (and no scrounge could succeed),
+    // retrying reproduces this failure — memoize.
+    e.kind = kMemoVcBlocked;
+    e.over = e.okey != nullptr ? e.okey->ver : 0;
     return false;
   }
   return true;
@@ -430,7 +414,6 @@ void NetworkInterface::inject_flit(Stream& s, Cycle now) {
     q_lat_[rep]->add(static_cast<double>(now - msg->created));
     if (msg->is_reply()) {
       if (s.on_circuit && !msg->scrounging) {
-        ++origins_gen_;
         auto uit = origins_.find({msg->dest, msg->addr});
         if (uit != origins_.end() && uit->second.present)
           origin_tomb(uit->second);
@@ -448,7 +431,6 @@ void NetworkInterface::inject_flit(Stream& s, Cycle now) {
       if (it != origins_.end() && it->second.present &&
           it->second.riders > 0) {
         Origin& o = it->second;
-        ++origins_gen_;
         origin_mut(o);
         if (--o.riders == 0 && o.undo_deferred()) {
           for (std::uint64_t owner : o.deferred_undo_owners)
@@ -500,7 +482,6 @@ void NetworkInterface::handle_request_delivered(const MsgPtr& msg, Cycle now) {
     // consume the existing circuit; tear the duplicate instance down.
     if (!msg->circuit_ok) return;  // nothing was built for the new request
     if (it->second.riders > 0) {
-      ++origins_gen_;
       it->second.deferred_undo_owners.push_back(msg->id);
       origin_mut(it->second);
     } else {
@@ -510,7 +491,6 @@ void NetworkInterface::handle_request_delivered(const MsgPtr& msg, Cycle now) {
     return;
   }
   o.req_id = msg->id;
-  ++origins_gen_;
   // Insert in place, preserving the node's version chain (the slot may be
   // a tombstone some queued memo still pins).
   auto ins = origins_.try_emplace(key);
@@ -537,7 +517,6 @@ void NetworkInterface::finish_delivery(const MsgPtr& msg, Cycle now) {
     msg->scrounging = false;
     msg->on_circuit = false;
     msg->circuit_dest = kInvalidNode;
-    msg->ni_memo_gen = 0;  // new destination: any scan memo is stale
     rsum_valid_ = false;
     q_[static_cast<int>(VNet::Reply)].push_back({msg, nullptr, 0, 0, kMemoNone});
     return;
@@ -621,7 +600,6 @@ void NetworkInterface::save(StateWriter& w) const {
   }
   w.u64(origin_ver_);
   w.i64(live_origins_);
-  w.u64(origins_gen_);
 }
 
 bool NetworkInterface::load(StateReader& r) {
@@ -675,11 +653,9 @@ bool NetworkInterface::load(StateReader& r) {
     if (!r.b(&o.undo_expect_reply)) return false;
   }
   std::int64_t live;
-  if (!(r.u64(&origin_ver_) && r.i64(&live) && r.u64(&origins_gen_)))
-    return false;
+  if (!(r.u64(&origin_ver_) && r.i64(&live))) return false;
   live_origins_ = static_cast<int>(live);
   // Memos and the scan summary are skip hints only: drop them.
-  last_probe_okey_ = nullptr;
   rsum_valid_ = false;
   return true;
 }

@@ -138,13 +138,39 @@ class NetworkInterface : public Ticker {
     bool active() const { return msg != nullptr; }
   };
 
+  /// One queued message plus an inline memo of its last failed injection
+  /// probe. The skip test in try_start_packet reads only this slot (plus
+  /// the memoed origin's version word), so walking a deep reply backlog
+  /// stays cache-linear instead of dereferencing every queued message and
+  /// re-probing it whenever any origin changed.
+  ///
+  /// kind kMemoHeld: the reply is held for its departure slot until `hold`.
+  /// kind kMemoVcBlocked: blocked until a non-circuit reply VC frees (or a
+  /// scrounge candidate appears). Either memo additionally depends on the
+  /// probed origin key's state: valid only while okey (nullptr when the
+  /// probe consulted no origin) still carries version `over`. Memoed
+  /// pointers stay valid across tombstone purges because the purge skips
+  /// pinned nodes (see try_start_packet).
+  struct QEntry {  // aggregate: no NSDMIs, so the ring can instantiate it
+    MsgPtr msg;    // while NetworkInterface is still incomplete; push sites
+    const Origin* okey;  // always supply every field.
+    std::uint64_t over;
+    Cycle hold;
+    std::uint8_t kind;
+  };
+  static constexpr std::uint8_t kMemoNone = 0;
+  static constexpr std::uint8_t kMemoHeld = 1;
+  static constexpr std::uint8_t kMemoVcBlocked = 2;
+
   void handle_request_delivered(const MsgPtr& msg, Cycle now);
   void finish_delivery(const MsgPtr& msg, Cycle now);
   bool try_start_packet(VNet vn, Cycle now);
   /// Whether (and how) the queued message could start injecting now.
-  /// May mutate origin state (window-miss undo happens here).
-  bool prepare_injection(const MsgPtr& msg, Cycle now, int* vc,
-                         bool* on_circuit);
+  /// May mutate origin state (window-miss undo happens here). A failed
+  /// reply probe leaves its memo in `e`: kMemoHeld or kMemoVcBlocked when
+  /// one of the two memoizing fail sites ran (with the origin key it read),
+  /// kMemoNone otherwise.
+  bool prepare_injection(QEntry& e, Cycle now, int* vc, bool* on_circuit);
   bool pick_free_vc(VNet vn, bool circuit_class, int* vc) const;
   void inject_flit(Stream& s, Cycle now);
   void launch_undo(NodeId dest, Addr addr, std::uint64_t owner, Cycle now);
@@ -169,29 +195,6 @@ class NetworkInterface : public Ticker {
   /// Injection queues: inline rings so the steady-state enqueue/dequeue of
   /// messages performs no heap allocation (deep backlogs grow once and keep
   /// the capacity).
-  /// One queued message plus an inline memo of its last failed injection
-  /// probe. The skip test in try_start_packet reads only this slot (plus
-  /// the memoed origin's version word), so walking a deep reply backlog
-  /// stays cache-linear instead of dereferencing every queued message and
-  /// re-probing it whenever any origin changed.
-  ///
-  /// kind kMemoHeld: the reply is held for its departure slot until `hold`.
-  /// kind kMemoVcBlocked: blocked until a non-circuit reply VC frees (or a
-  /// scrounge candidate appears). Either memo additionally depends on the
-  /// probed origin key's state: valid only while okey (nullptr when the
-  /// probe consulted no origin) still carries version `over`. Memoed
-  /// pointers stay valid across tombstone purges because the purge skips
-  /// pinned nodes (see try_start_packet).
-  struct QEntry {  // aggregate: no NSDMIs, so the ring can instantiate it
-    MsgPtr msg;    // while NetworkInterface is still incomplete; push sites
-    const Origin* okey;  // always supply every field.
-    std::uint64_t over;
-    Cycle hold;
-    std::uint8_t kind;
-  };
-  static constexpr std::uint8_t kMemoNone = 0;
-  static constexpr std::uint8_t kMemoHeld = 1;
-  static constexpr std::uint8_t kMemoVcBlocked = 2;
   InlineRing<QEntry, 8> q_[kNumVNets];
   Stream stream_[kNumVNets];
   int rr_vn_ = 0;  ///< round-robin over VN streams for the 1 flit/cycle link
@@ -226,10 +229,6 @@ class NetworkInterface : public Ticker {
   std::map<std::pair<NodeId, Addr>, Origin> origins_;
   std::uint64_t origin_ver_ = 0;   ///< source for Origin::ver stamps
   int live_origins_ = 0;           ///< present (non-tombstone) entries
-  /// Origin node the most recent prepare_injection consulted (tombstones
-  /// are created on miss so absence is versioned too); nullptr when the
-  /// probe never touched the origin table.
-  const Origin* last_probe_okey_ = nullptr;
 
   void origin_mut(Origin& o) { o.ver = ++origin_ver_; }
 
@@ -255,12 +254,6 @@ class NetworkInterface : public Ticker {
     origin_mut(o);
     --live_origins_;
   }
-  /// Bumped on every origins_ mutation (insert/erase/field change); queued
-  /// replies carry failure memos stamped with this generation so the
-  /// injection scan can skip them while the table is provably unchanged
-  /// (see try_start_packet). Starts at 1 so a fresh Message (gen 0) never
-  /// matches.
-  std::uint64_t origins_gen_ = 1;
 };
 
 }  // namespace rc

@@ -656,22 +656,19 @@ bool write_manifest(const std::string& out_dir, const char* status,
 
 /// Deterministic aggregates (results.jsonl / results.csv: point order, no
 /// wall-clock fields — resumed and uninterrupted sweeps must be
-/// byte-identical) plus the wall-clock summary.json in bench-report's
-/// format so --compare can gate the sweep.
+/// byte-identical). Wall-clock and peak RSS stay in the journal.
 bool write_aggregates(const std::string& out_dir,
                       const std::vector<SweepPoint>& points,
                       const std::vector<std::optional<JournalRecord>>& recs,
                       std::string* err) {
   AtomicFile jout(out_dir + "/results.jsonl");
   AtomicFile cout_(out_dir + "/results.csv");
-  std::string summary = "{\n  \"results\": [\n";
   if (!jout.stream() || !cout_.stream())
     return set_err(err, "cannot open aggregate temporaries in " + out_dir);
   std::fputs(
       "id,status,preset,app,mesh,topology,mc_placement,protocol,seed,"
       "warmup,cycles,ipc,retired,energy_per_instr\n",
       cout_.stream());
-  bool first_summary = true;
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (!recs[i]) continue;  // stopped-early sweeps aggregate the done subset
     const SweepPoint& p = points[i];
@@ -702,23 +699,6 @@ bool write_aggregates(const std::string& out_dir,
                    static_cast<unsigned long long>(p.warmup),
                    static_cast<unsigned long long>(p.cycles), jnum(res, "ipc"),
                    jull(res, "retired"), jnum(res, "energy_per_instr"));
-      // bench-report-compatible entry: names are id-prefixed so they stay
-      // unique and stable across sweeps of the same spec.
-      const Cycle simulated = p.warmup + p.cycles;
-      if (r.wall_s > 0) {
-        char line[384];
-        std::snprintf(line, sizeof line,
-                      "    {\"name\": \"p%05lld_%s_%s_%s_%s\", \"shards\": %d, "
-                      "\"wall_s\": %.4f, \"cycles\": %llu, "
-                      "\"cycles_per_sec\": %.0f}",
-                      r.id, p.preset.c_str(), p.app.c_str(), p.mesh.c_str(),
-                      p.topology.c_str(), p.shards >= 1 ? p.shards : 1,
-                      r.wall_s, static_cast<unsigned long long>(simulated),
-                      static_cast<double>(simulated) / r.wall_s);
-        if (!first_summary) summary += ",\n";
-        summary += line;
-        first_summary = false;
-      }
     } else {
       std::fprintf(jout.stream(), "{\"id\":%lld,\"status\":\"%s\",%s}\n", r.id,
                    r.status.c_str(), cfg.c_str());
@@ -731,9 +711,7 @@ bool write_aggregates(const std::string& out_dir,
                    static_cast<unsigned long long>(p.cycles));
     }
   }
-  summary += "\n  ]\n}\n";
-  if (!jout.commit(err) || !cout_.commit(err)) return false;
-  return write_file_atomic(out_dir + "/summary.json", summary, err);
+  return jout.commit(err) && cout_.commit(err);
 }
 
 }  // namespace

@@ -15,9 +15,8 @@
 // by skipping journaled points and re-running in-flight ones. Aggregation
 // is deterministic (point order, no wall-clock fields in results.jsonl /
 // results.csv), so an interrupted-then-resumed sweep produces byte-identical
-// aggregates to an uninterrupted one; summary.json carries the wall-clock
-// view in bench-report's format so `bench-report --compare` can gate the
-// sweep on perf regressions.
+// aggregates to an uninterrupted one; each point's wall-clock time and peak
+// RSS stay in the journal. Simulator speed is measured by perfbench/.
 //
 // Split: everything here is library code (unit-tested by tests/test_dse.cpp,
 // including the process runner, against a scripted fake runner); tools/

@@ -35,7 +35,7 @@ namespace rc {
 class System;
 struct SystemConfig;
 
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 inline constexpr const char kSnapshotMagic[9] = "RCSNAP01";
 
 /// Every SystemConfig field as a (dotted-name, value) pair, in declaration

@@ -4,20 +4,20 @@
 # with a silent failure.
 #
 # usage: cli_contract.sh RC_SIM RC_FUZZ RC_TRACE RC_STATE RC_DSE \
-#                        BENCH_REPORT BENCH_MICRO_ROUTER BENCH...
+#                        BENCH_MICRO_ROUTER BENCH...
 #
 # Each tool gets an unknown flag, --help, and a non-numeric value for a
 # numeric flag (tools without numeric flags get a missing input file
 # instead); bench_micro_router gets an unknown flag, and every other bench
 # binary (the bench_util.hpp harnesses) a non-numeric RC_MEASURE_CYCLES.
 set -u
-if [ $# -lt 8 ]; then
-  echo "usage: $0 RC_SIM RC_FUZZ RC_TRACE RC_STATE RC_DSE BENCH_REPORT" \
+if [ $# -lt 7 ]; then
+  echo "usage: $0 RC_SIM RC_FUZZ RC_TRACE RC_STATE RC_DSE" \
        "BENCH_MICRO_ROUTER BENCH..." >&2
   exit 2
 fi
-sim=$1 fuzz=$2 trace=$3 state=$4 dse=$5 report=$6 micro=$7
-shift 7
+sim=$1 fuzz=$2 trace=$3 state=$4 dse=$5 micro=$6
+shift 6
 missing=cli_contract_no_such_file
 failures=0
 
@@ -55,11 +55,6 @@ expect2 "rc-state missing"            "$state" "$missing"
 expect2 "rc-dse --bogus"              "$dse" --bogus
 expect2 "rc-dse --help"               "$dse" --help
 expect2 "rc-dse --jobs abc"           "$dse" --spec "$missing" --out "$missing" --jobs abc
-expect2 "bench-report --bogus"        "$report" --bogus
-expect2 "bench-report --help"         "$report" --help
-expect2 "bench-report abc"            "$report" abc
-expect2 "bench-report --tolerance=100" \
-        "$report" --compare "$missing" "$missing" --tolerance=100
 expect2 "bench_micro_router --bogus"  "$micro" --bogus
 for bench in "$@"; do
   expect2 "$(basename "$bench") RC_MEASURE_CYCLES=garbage" \

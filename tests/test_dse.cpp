@@ -412,7 +412,7 @@ TEST(RunSweep, StoppedEarlyThenResumedMatchesUninterrupted) {
 
   // The durability contract: interrupted-then-resumed aggregates are
   // byte-identical to an uninterrupted sweep (wall-clock lives only in the
-  // journal and summary.json).
+  // journal).
   EXPECT_EQ(slurp(a.out_dir + "/results.jsonl"),
             slurp(b.out_dir + "/results.jsonl"));
   EXPECT_EQ(slurp(a.out_dir + "/results.csv"),

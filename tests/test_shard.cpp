@@ -299,8 +299,8 @@ TEST(ShardDeterminism, SyntheticDriverBitIdentical) {
 }
 
 // A raw fabric (no cores, no caches) fed by per-node plan injectors — the
-// shape of bench-report's micro-router entry, and the only sharded path
-// without a System or SyntheticTraffic around it.
+// shape of bench_micro_router's BM_LoadedNetworkTick, and the only sharded
+// path without a System or SyntheticTraffic around it.
 StatSet run_raw_fabric(int shards, TickMode mode, std::uint64_t* delivered) {
   NocConfig cfg;
   cfg.mesh_w = cfg.mesh_h = 8;

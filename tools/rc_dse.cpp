@@ -3,7 +3,7 @@
 //   rc-dse --spec FILE --out DIR [options]
 //     --spec FILE          sweep spec (JSON; see EXPERIMENTS.md), '-' = stdin
 //     --out DIR            output directory: journal.jsonl, manifest.json,
-//                          results.{jsonl,csv}, summary.json, points/p*/
+//                          results.{jsonl,csv}, points/p*/
 //     --runner PATH        rc-sim-compatible binary (default: rc-sim next
 //                          to this executable)
 //     --jobs N             concurrent worker processes     (default 1)
@@ -17,18 +17,10 @@
 //                          snapshot under --out/snapshots/; results are
 //                          byte-identical either way)
 //     --expand             print the expanded point list and exit
-//     --compare BASELINE   after the sweep, gate on bench-report --compare
-//                          BASELINE summary.json (perf regression check)
-//     --bench-report PATH  bench-report binary for --compare (default: next
-//                          to this executable)
 //     --verbose
 //
 // Exit: 0 all points ok; 3 some failed/timed out; 10 stopped early;
-// 2 setup error; on --compare, a regression propagates bench-report's
-// non-zero exit.
-#include <sys/wait.h>
-#include <unistd.h>
-
+// 2 setup error.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,9 +38,7 @@ namespace {
                "usage: %s --spec FILE --out DIR [--runner PATH] [--jobs N]\n"
                "          [--timeout S] [--max-attempts N] [--backoff S]\n"
                "          [--resume] [--max-points N] [--no-warm-start]\n"
-               "          [--expand]\n"
-               "          [--compare BASELINE] [--bench-report PATH]\n"
-               "          [--verbose]\n",
+               "          [--expand] [--verbose]\n",
                argv0);
   std::exit(2);
 }
@@ -86,24 +76,6 @@ bool read_spec(const std::string& path, std::string* out, std::string* err) {
   return ok;
 }
 
-/// Run `prog compare_args...` and return its exit status (127 on exec
-/// failure). Used for the bench-report regression gate.
-int run_child(const std::string& prog, const std::vector<std::string>& args) {
-  const pid_t pid = ::fork();
-  if (pid < 0) return 127;
-  if (pid == 0) {
-    std::vector<char*> argv;
-    argv.push_back(const_cast<char*>(prog.c_str()));
-    for (const auto& a : args) argv.push_back(const_cast<char*>(a.c_str()));
-    argv.push_back(nullptr);
-    ::execvp(prog.c_str(), argv.data());
-    ::_exit(127);
-  }
-  int st = 0;
-  if (::waitpid(pid, &st, 0) != pid) return 127;
-  return WIFEXITED(st) ? WEXITSTATUS(st) : 128 + WTERMSIG(st);
-}
-
 double need_double(const char* flag, const char* v) {
   char* end = nullptr;
   const double d = std::strtod(v, &end);
@@ -119,8 +91,6 @@ double need_double(const char* flag, const char* v) {
 int main(int argc, char** argv) {
   DseOptions opt;
   std::string spec_path;
-  std::string compare_baseline;
-  std::string bench_report = sibling_binary(argv[0], "bench-report");
   opt.runner = sibling_binary(argv[0], "rc-sim");
   bool expand_only = false;
 
@@ -158,10 +128,6 @@ int main(int argc, char** argv) {
       opt.max_points = need_int("--max-points", 0);
     else if (!std::strcmp(argv[i], "--no-warm-start")) opt.warm_start = false;
     else if (!std::strcmp(argv[i], "--expand")) expand_only = true;
-    else if (!std::strcmp(argv[i], "--compare"))
-      compare_baseline = need("--compare");
-    else if (!std::strcmp(argv[i], "--bench-report"))
-      bench_report = need("--bench-report");
     else if (!std::strcmp(argv[i], "--verbose")) opt.verbose = true;
     else if (!std::strcmp(argv[i], "--help")) usage(argv[0]);
     else {
@@ -213,16 +179,5 @@ int main(int argc, char** argv) {
                  "[rc-dse] warm-start: %lld snapshot(s) written, %lld "
                  "point(s) resumed from one\n",
                  oc.snapshots, oc.warm_loaded);
-
-  if (!compare_baseline.empty() && !oc.stopped_early) {
-    const int crc = run_child(
-        bench_report,
-        {"--compare", compare_baseline, opt.out_dir + "/summary.json"});
-    if (crc != 0) {
-      std::fprintf(stderr, "[rc-dse] perf gate failed (bench-report exit %d)\n",
-                   crc);
-      return crc;
-    }
-  }
   return rc;
 }
